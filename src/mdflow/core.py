@@ -55,6 +55,11 @@ class OpcodeError(MdfError):
     """An opcode function raised: the computation itself is faulty, not the worker."""
 
 
+#: Faults the instruction itself causes, so every worker would raise them
+#: again: they fail the instruction's graph, never the worker running it.
+DETERMINISTIC_FAULTS = (OpcodeError, UnknownOpcode, ArityMismatch, codec.CodecError)
+
+
 class DumpFormatError(MdfError):
     pass
 
@@ -364,6 +369,13 @@ def chain_opcode(names: list[str]) -> str:
     return _CHAIN_PREFIX + ",".join(names) + ")"
 
 
+def _chain_links(name: str) -> Optional[list[str]]:
+    """The link names of a ``chain(a,b,...)`` opcode name, else None."""
+    if name.startswith(_CHAIN_PREFIX) and name.endswith(")"):
+        return name[len(_CHAIN_PREFIX):-1].split(",")
+    return None
+
+
 @dataclass(frozen=True)
 class Opcode:
     """A registered computation: decoded values in, decoded values out.
@@ -412,9 +424,9 @@ class OpcodeRegistry:
     def resolve(self, name: str) -> Opcode:
         if name in self._ops:
             return self._ops[name]
-        if name.startswith(_CHAIN_PREFIX) and name.endswith(")"):
-            parts = name[len(_CHAIN_PREFIX):-1].split(",")
-            ops = [self.resolve(p) for p in parts]
+        links = _chain_links(name)
+        if links is not None:
+            ops = [self.resolve(p) for p in links]
             for op in ops:
                 if op.in_arity != 1 or op.out_arity != 1:
                     raise ArityMismatch(f"chain link {op.name} is not unary")
@@ -454,7 +466,5 @@ def manifest_supports(manifest_names: set[str], opcode_name: str) -> bool:
     """True if a worker advertising manifest_names can execute opcode_name."""
     if opcode_name in manifest_names:
         return True
-    if opcode_name.startswith(_CHAIN_PREFIX) and opcode_name.endswith(")"):
-        parts = opcode_name[len(_CHAIN_PREFIX):-1].split(",")
-        return all(manifest_supports(manifest_names, p) for p in parts)
-    return False
+    links = _chain_links(opcode_name)
+    return links is not None and all(manifest_supports(manifest_names, p) for p in links)

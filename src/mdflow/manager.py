@@ -261,7 +261,6 @@ class Manager:
                  escalation_cb: Optional[Callable[[EscalationEvent], None]] = None) -> None:
         self.runtime = runtime
         self.pool = pool
-        self.recruit_specs = list(recruit_specs)
         self._spare_specs = list(recruit_specs)
         self.plans = plans if plans is not None else linear_scaling_plans()
         self.tick_s = tick_s

@@ -18,7 +18,7 @@ import struct
 import threading
 from typing import Optional
 
-from .core import MdfError, OpcodeError, OpcodeRegistry
+from .core import DETERMINISTIC_FAULTS, MdfError, OpcodeRegistry
 
 #: FAIL-message prefix marking a deterministic opcode fault (as opposed to a
 #: worker-side infrastructure failure); such faults must not be retried.
@@ -287,7 +287,7 @@ class WorkerServer:
             req_id, opcode, payloads = decode_exec(body)
             try:
                 outputs = self.registry.run_encoded(opcode, payloads)
-            except OpcodeError as exc:
+            except DETERMINISTIC_FAULTS as exc:
                 msg = (OPCODE_FAULT_PREFIX + str(exc)).encode("utf-8")
                 send_frame(conn, FAIL, _U64.pack(req_id) + _pack_bytes(msg))
                 return

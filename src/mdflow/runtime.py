@@ -9,6 +9,7 @@ work up, so execution is at-least-once while emission stays exactly-once
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import statistics
 import threading
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .core import (
+    DETERMINISTIC_FAULTS,
     MdfError,
     MdfInstruction,
     OpcodeError,
@@ -25,7 +27,7 @@ from .core import (
     manifest_supports,
 )
 from .protocol import OPCODE_FAULT_PREFIX, ProtocolError, RemoteFailure, WorkerClient
-from .taskpool import TaskPool
+from .taskpool import NotInFlight, TaskPool
 
 WorkerSpec = Union[str, tuple[str, int]]
 
@@ -258,13 +260,14 @@ class Runtime:
                     with self._link:
                         time.sleep(self.comm_delay_ms / 1000.0)
                 outputs = desc._executor.execute(desc, instr)
-            except OpcodeError as exc:
-                # deterministic computation fault: fail the graph, keep the worker
+            except DETERMINISTIC_FAULTS as exc:
+                # the instruction is at fault: fail its graph, keep the worker
                 pool.fail_graph(gid, str(exc))
                 desc.state = "idle"
                 continue
             except Exception as exc:
-                pool.requeue(gid, instr.id)
+                with contextlib.suppress(NotInFlight):  # a sibling failed the graph
+                    pool.requeue(gid, instr.id)
                 self._fail(desc, exc)
                 return
             pool.complete(gid, instr.id, outputs)

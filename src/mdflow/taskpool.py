@@ -5,14 +5,16 @@ result tokens to waiting instructions, keeps a FIFO queue of fireable
 instructions for the worker control loops, and emits external outputs as
 ResultRecords.  Execution is at-least-once (a requeued instruction may run
 twice) but emission is exactly-once: completions are deduplicated by
-(gid, instruction id) marks kept until graph retirement.
+per-instruction marks that live in the graph's record and go with it when
+the graph retires.
 """
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from . import codec
@@ -25,6 +27,10 @@ from .core import (
     store_token,
     Dest,
 )
+
+# Instruction states in a live graph's record; an instruction with no state
+# is still waiting for tokens.
+QUEUED, IN_FLIGHT, DONE = "queued", "in_flight", "done"
 
 
 class PoolClosed(MdfError):
@@ -51,6 +57,19 @@ class ResultRecord:
     error: Optional[str] = None
 
 
+@dataclass(slots=True)
+class _Live:
+    """Everything the pool keeps about one live graph; retirement drops it."""
+
+    graph: MdfGraph
+    seq: int
+    on_emit: Optional[Callable[[ResultRecord], None]] = None
+    #: iid -> QUEUED | IN_FLIGHT | DONE
+    state: dict[int, str] = field(default_factory=dict)
+    #: iid -> time of its latest dispatch
+    dispatched: dict[int, float] = field(default_factory=dict)
+
+
 class TaskPool:
     """Shared, internally synchronized repository of live graphs.
 
@@ -61,15 +80,11 @@ class TaskPool:
 
     def __init__(self, throughput_window_s: float = 10.0) -> None:
         self._cond = threading.Condition()
-        self._graphs: dict[int, MdfGraph] = {}
+        self._graphs: dict[int, _Live] = {}
+        #: (gid, iid) of fireable instructions; a key whose instruction is no
+        #: longer QUEUED (its graph retired, or it completed late) is skipped
         self._queue: deque[tuple[int, int]] = deque()
-        self._queued: set[tuple[int, int]] = set()
-        self._inflight: set[tuple[int, int]] = set()
-        self._done: set[tuple[int, int]] = set()
-        self._next_gid = 1
-        self._seq_by_gid: dict[int, int] = {}
-        self._submit_ts: dict[int, float] = {}
-        self._dispatch_ts: dict[tuple[int, int], float] = {}
+        self._gids = itertools.count(1)
         self._submitted = 0
         self._emitted = 0
         self._closed = False
@@ -93,48 +108,40 @@ class TaskPool:
         """Instantiate the template with a fresh gid; the task appears as the
         input token of the graph's input instruction."""
         with self._cond:
-            if self._closed:
-                raise PoolClosed("pool closed")
-            gid = self._next_gid
-            self._next_gid += 1
-            graph = instantiate(template, gid)
+            graph = instantiate(template, next(self._gids))
             instr = graph.instructions[graph.input_id]
             store_token(instr, 1, payload)
-            self._register(gid, graph)
-            self._maybe_enqueue(gid, instr)
-            return gid
+            return self._register(graph, instr)
 
     def submit_call(self, opcode: str, payloads: list[bytes],
-                    dests: Optional[list[Dest]] = None) -> int:
+                    dests: Optional[list[Dest]] = None,
+                    on_emit: Optional[Callable[[ResultRecord], None]] = None) -> int:
         """Submit an already-fireable single-instruction graph (the workflow
-        matching unit path)."""
+        matching unit path).  `on_emit` receives the graph's ResultRecord,
+        under the pool lock, before the sinks do."""
         from .core import make_instruction, OUT
 
         with self._cond:
-            if self._closed:
-                raise PoolClosed("pool closed")
-            gid = self._next_gid
-            self._next_gid += 1
+            gid = next(self._gids)
             instr = make_instruction(1, gid, opcode, len(payloads), dests or [OUT])
             for slot, p in enumerate(payloads, start=1):
                 store_token(instr, slot, p)
-            graph = MdfGraph({1: instr}, 1, gid=gid)
-            self._register(gid, graph)
-            self._maybe_enqueue(gid, instr)
-            return gid
+            return self._register(MdfGraph({1: instr}, 1, gid=gid), instr, on_emit)
 
-    def _register(self, gid: int, graph: MdfGraph) -> None:
-        self._graphs[gid] = graph
-        self._seq_by_gid[gid] = self._submitted
-        self._submit_ts[gid] = time.time()
+    def _register(self, graph: MdfGraph, first: MdfInstruction,
+                  on_emit: Optional[Callable[[ResultRecord], None]] = None) -> int:
+        """Give a new graph its record and queue its input instruction."""
+        if self._closed:
+            raise PoolClosed("pool closed")
+        live = self._graphs[graph.gid] = _Live(graph, self._submitted, on_emit)
         self._submitted += 1
+        self._maybe_enqueue(graph.gid, live, first)
+        return graph.gid
 
-    def _maybe_enqueue(self, gid: int, instr: MdfInstruction) -> None:
-        key = (gid, instr.id)
-        if (is_fireable(instr) and key not in self._queued
-                and key not in self._inflight and key not in self._done):
-            self._queue.append(key)
-            self._queued.add(key)
+    def _maybe_enqueue(self, gid: int, live: _Live, instr: MdfInstruction) -> None:
+        if instr.id not in live.state and is_fireable(instr):
+            live.state[instr.id] = QUEUED
+            self._queue.append((gid, instr.id))
             self._cond.notify()
 
     def close(self) -> None:
@@ -154,31 +161,29 @@ class TaskPool:
 
     def _deliver(self, gid: int, dest: Dest, value: Optional[bytes],
                  producer: Optional[int], error: Optional[str] = None) -> None:
-        if gid not in self._graphs:
+        live = self._graphs.get(gid)
+        if live is None:
             raise UnknownGraph(f"graph {gid} is not live")
         if dest.is_external:
             self._retire(gid, value, producer, error)
             return
-        graph = self._graphs[gid]
-        if dest.instr_id not in graph.instructions:
+        instr = live.graph.instructions.get(dest.instr_id)
+        if instr is None:
             raise UnknownGraph(f"graph {gid} has no instruction {dest.instr_id}")
-        instr = graph.instructions[dest.instr_id]
         store_token(instr, dest.slot, value)
-        self._maybe_enqueue(gid, instr)
+        self._maybe_enqueue(gid, live, instr)
 
     def _retire(self, gid: int, value: Optional[bytes], producer: Optional[int],
                 error: Optional[str] = None) -> None:
         now = time.time()
-        dispatch = self._dispatch_ts.get((gid, producer), now) if producer else now
-        record = ResultRecord(self._seq_by_gid[gid], gid, value, dispatch, now, error)
-        del self._graphs[gid]
-        del self._seq_by_gid[gid]
-        self._submit_ts.pop(gid, None)
-        self._done = {k for k in self._done if k[0] != gid}
-        self._dispatch_ts = {k: v for k, v in self._dispatch_ts.items() if k[0] != gid}
+        live = self._graphs.pop(gid)
+        record = ResultRecord(live.seq, gid, value, live.dispatched.get(producer, now),
+                              now, error)
         self._emitted += 1
         self._emit_ts.append(now)
         self.results.append(record)
+        if live.on_emit is not None:
+            live.on_emit(record)
         for sink in self._sinks:
             sink(record)
         self._cond.notify_all()
@@ -190,13 +195,11 @@ class TaskPool:
         completion of a requeued instruction, or a completion arriving after
         the graph retired."""
         with self._cond:
-            key = (gid, iid)
-            if gid not in self._graphs or key in self._done:
-                self._inflight.discard(key)
+            live = self._graphs.get(gid)
+            if live is None or live.state.get(iid) == DONE:
                 return False
-            self._done.add(key)
-            self._inflight.discard(key)
-            instr = self._graphs[gid].instructions[iid]
+            live.state[iid] = DONE
+            instr = live.graph.instructions[iid]
             dests = instr.dests
             if len(outputs) != len(dests):
                 if len(dests) == 1:
@@ -209,7 +212,7 @@ class TaskPool:
             now = time.time()
             self.execution_log.append({
                 "gid": gid, "iid": iid, "opcode": instr.opcode,
-                "dispatched": self._dispatch_ts.get(key, now), "completed": now,
+                "dispatched": live.dispatched.get(iid, now), "completed": now,
             })
             for dest, value in zip(dests, outputs):
                 self._deliver(gid, dest, value, producer=iid)
@@ -218,14 +221,8 @@ class TaskPool:
     def fail_graph(self, gid: int, message: str) -> None:
         """Retire a graph with a failure record (deterministic opcode fault)."""
         with self._cond:
-            if gid not in self._graphs:
-                return
-            for key in list(self._queued):
-                if key[0] == gid:
-                    self._queue.remove(key)
-                    self._queued.discard(key)
-            self._inflight = {k for k in self._inflight if k[0] != gid}
-            self._retire(gid, None, None, error=message)
+            if gid in self._graphs:
+                self._retire(gid, None, None, error=message)
 
     # -- worker-facing ------------------------------------------------------
 
@@ -236,14 +233,16 @@ class TaskPool:
         with self._cond:
             while True:
                 if not self._paused and self._queue:
-                    key = self._queue.popleft()
-                    self._queued.discard(key)
-                    self._inflight.add(key)
+                    gid, iid = self._queue.popleft()
+                    live = self._graphs.get(gid)
+                    if live is None or live.state[iid] != QUEUED:
+                        continue
+                    live.state[iid] = IN_FLIGHT
                     now = time.time()
                     self.dispatch_log.append(now)
-                    self._dispatch_ts[key] = now
-                    gid, iid = key
-                    return gid, self._graphs[gid].instructions[iid].snapshot()
+                    live.dispatched[iid] = now
+                    # no copy: a fireable instruction's slots are full for good
+                    return gid, live.graph.instructions[iid]
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return None
@@ -252,14 +251,12 @@ class TaskPool:
     def requeue(self, gid: int, iid: int) -> None:
         """Return an in-flight instruction to the queue head (retry priority)."""
         with self._cond:
-            key = (gid, iid)
-            if key not in self._inflight:
-                raise NotInFlight(f"instruction {key} is not in flight")
-            self._inflight.discard(key)
-            if gid in self._graphs and key not in self._done:
-                self._queue.appendleft(key)
-                self._queued.add(key)
-                self._cond.notify()
+            live = self._graphs.get(gid)
+            if live is None or live.state.get(iid) != IN_FLIGHT:
+                raise NotInFlight(f"instruction {(gid, iid)} is not in flight")
+            live.state[iid] = QUEUED
+            self._queue.appendleft((gid, iid))
+            self._cond.notify()
 
     def pause_dispatch(self) -> float:
         """Stop handing out fireable instructions; returns the pause timestamp."""
@@ -301,11 +298,12 @@ class TaskPool:
 
     def metrics(self) -> dict[str, Any]:
         with self._cond:
+            states = [s for live in self._graphs.values() for s in live.state.values()]
             return {
                 "submitted": self._submitted,
                 "emitted": self._emitted,
-                "in_flight": len(self._inflight),
-                "fireable": len(self._queue),
+                "in_flight": states.count(IN_FLIGHT),
+                "fireable": states.count(QUEUED),
                 "live_graphs": len(self._graphs),
                 "throughput_window": self.window_s,
             }

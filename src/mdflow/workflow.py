@@ -8,6 +8,7 @@ dependency, so no control flow blocks while waiting.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
@@ -102,12 +103,9 @@ class WorkflowEngine:
     def __init__(self, pool: TaskPool, registry: OpcodeRegistry) -> None:
         self.pool = pool
         self.registry = registry
-        self._lock = threading.Lock()
-        self._by_gid: dict[int, Future] = {}
-        self._seq = 0
+        self._seq = itertools.count()
         #: per-submission bookkeeping latency samples (seconds)
         self.submit_latencies: list[float] = []
-        pool.add_sink(self._on_result)
 
     def submit(self, opcode: str, args: Sequence[Any]) -> Future:
         """Submit a computation whose args may be payloads or Futures.
@@ -118,55 +116,42 @@ class WorkflowEngine:
         op = self.registry.resolve(opcode)  # raises UnknownOpcode
         if len(args) != op.in_arity:
             raise ArityMismatch(f"{opcode}: expected {op.in_arity} args, got {len(args)}")
-        with self._lock:
-            seq = self._seq
-            self._seq += 1
-        result = Future(seq=seq)
-        state = {"remaining": 0, "failed": False}
-        state_lock = threading.Lock()
+        result = Future(seq=next(self._seq))
         resolved: list[Any] = list(args)
-
-        def try_dispatch() -> None:
-            payloads = [codec.encode(v) for v in resolved]
-            gid = self.pool.submit_call(opcode, payloads)
-            with self._lock:
-                self._by_gid[gid] = result
-
         pending: list[tuple[int, Future]] = [
             (i, a) for i, a in enumerate(args) if isinstance(a, Future)]
+        state = {"remaining": len(pending)}
+        state_lock = threading.Lock()
+
+        def on_emit(record: ResultRecord) -> None:
+            if record.error is not None:
+                result._fail(UpstreamFailed(record.error))
+            else:
+                result._complete(codec.decode(record.value))
+
+        def try_dispatch() -> None:
+            # the graph carries on_emit from birth: no completion can miss it
+            self.pool.submit_call(opcode, [codec.encode(v) for v in resolved],
+                                  on_emit=on_emit)
 
         def on_dep_done(i: int, dep: Future) -> None:
             if dep._error is not None:
-                if not state["failed"]:
-                    state["failed"] = True
-                    result._fail(UpstreamFailed(str(dep._error)))
+                # a failed dependency never counts down, so nothing dispatches
+                result._fail(UpstreamFailed(str(dep._error)))
                 return
             resolved[i] = dep._value
             with state_lock:
                 state["remaining"] -= 1
                 last = state["remaining"] == 0
-            if last and not state["failed"]:
+            if last:
                 try_dispatch()
 
         if not pending:
             try_dispatch()
-        else:
-            with state_lock:
-                state["remaining"] = len(pending)
-            for i, dep in pending:
-                dep._on_done(lambda d, _i=i: on_dep_done(_i, d))
+        for i, dep in pending:
+            dep._on_done(lambda d, _i=i: on_dep_done(_i, d))
         self.submit_latencies.append(time.perf_counter() - t0)
         return result
-
-    def _on_result(self, record: ResultRecord) -> None:
-        with self._lock:
-            future = self._by_gid.pop(record.gid, None)
-        if future is None:
-            return
-        if record.error is not None:
-            future._fail(UpstreamFailed(record.error))
-        else:
-            future._complete(codec.decode(record.value))
 
     # -- stream of workflow instances ----------------------------------------
 

@@ -145,6 +145,20 @@ def test_remote_opcode_fault_fails_graph_keeps_worker(server):
     runtime.shutdown()
 
 
+def test_remote_unknown_opcode_fails_graph_keeps_worker(server):
+    pool = TaskPool()
+    runtime = Runtime(pool, default_registry())
+    desc = runtime.recruit((server.host, server.port))
+    runtime.start()
+    pool.submit_task(compile_skeleton(Seq("no_such_op")), codec.encode(1))
+    pool.submit_task(compile_skeleton(Seq("inc")), codec.encode(1))
+    assert pool.wait_quiescent(10)
+    assert pool.results[0].error is not None
+    assert codec.decode(pool.results[1].value) == 2
+    assert desc.state != "failed"
+    runtime.shutdown()
+
+
 def test_two_daemons_one_host():
     reg = default_registry()
     a = WorkerServer(reg).start()

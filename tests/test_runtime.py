@@ -163,3 +163,52 @@ def test_worker_stats_recorded():
     runtime.shutdown()
     assert descs[0].completed == 5
     assert descs[0].busy_ms >= 25.0
+
+
+@pytest.mark.parametrize("poison", ["no_such_op", "unencodable"])
+def test_poison_instruction_fails_its_graph_not_the_workers(poison):
+    reg = default_registry()
+    reg.register("unencodable", lambda x: {x})  # the codec has no set type
+    pool, runtime, descs, _ = make_runtime(4, registry=reg)
+    good, bad = compile_skeleton(Farm(Seq("f"))), compile_skeleton(Farm(Seq(poison)))
+    for i in range(10):
+        pool.submit_task(good, codec.encode(i))
+        if i == 4:
+            pool.submit_task(bad, codec.encode(i))
+    assert pool.wait_quiescent(10)
+    runtime.shutdown()
+    errors = [r for r in pool.results if r.error is not None]
+    assert len(pool.results) == 11 and len(errors) == 1
+    assert errors[0].seq == 5
+    assert all(d.state == "stopped" for d in descs)  # none failed
+
+
+class FailGraphThenDie:
+    """Executor whose instruction's graph is failed by a sibling instruction
+    just before the worker itself dies."""
+
+    def __init__(self, pool):
+        self.pool = pool
+
+    def execute(self, desc, instr):
+        self.pool.fail_graph(instr.gid, "sibling fault")
+        raise RuntimeError("worker lost")
+
+    def close(self):
+        pass
+
+
+def test_worker_failing_on_retired_graph_ends_failed():
+    failures = []
+    pool = TaskPool()
+    runtime = Runtime(pool, default_registry(), failure_cb=lambda d, e: failures.append(e))
+    desc = runtime.recruit("local")
+    desc._executor = FailGraphThenDie(pool)
+    runtime.start()
+    pool.submit_task(compile_skeleton(Seq("inc")), codec.encode(1))
+    desc._thread.join(5)
+    assert not desc._thread.is_alive()
+    assert desc.state == "failed"
+    assert [str(e) for e in failures] == ["worker lost"]
+    assert pool.results[0].error == "sibling fault"
+    runtime.shutdown()

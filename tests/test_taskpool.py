@@ -24,7 +24,7 @@ def pool():
 
 def test_submit_task_stores_input_token(pool, fg_template):
     gid = pool.submit_task(fg_template, codec.encode(10))
-    graph = pool._graphs[gid]
+    graph = pool._graphs[gid].graph
     assert graph.gid == gid
     assert is_fireable(graph.instructions[graph.input_id])
     assert not is_fireable(graph.instructions[2])
@@ -149,6 +149,19 @@ def test_requeued_then_completed_twice_emits_once(pool):
     assert pool.complete(gid, instr.id, [codec.encode(2)]) is True
     # the "slow failed worker" returning late
     assert pool.complete(gid, instr.id, [codec.encode(3)]) is False
+    assert len(pool.results) == 1
+
+
+def test_late_completion_of_requeued_instruction_is_not_dispatched_again(pool, fg_template):
+    gid = pool.submit_task(fg_template, codec.encode(1))
+    _, instr = pool.fetch_fireable(0.1)
+    pool.requeue(gid, instr.id)
+    # the original worker was only slow: it completes after the requeue
+    assert pool.complete(gid, instr.id, [codec.encode(2)]) is True
+    got = pool.fetch_fireable(0.1)
+    assert got is not None and got[1].id == 2  # g, not f a second time
+    pool.complete(gid, 2, [codec.encode(4)])
+    assert pool.fetch_fireable(0.01) is None
     assert len(pool.results) == 1
 
 

@@ -182,3 +182,21 @@ def test_random_dags_match_topological_oracle(engine):
         wf = load_workflow(nodes)
         task = rng.randint(-100, 100)
         assert wf(engine, task).get_value(15) == eval_workflow(nodes, task, reg)
+
+
+def test_future_hears_completion_that_beats_submit_call_return():
+    reg = default_registry()
+    pool = TaskPool()
+    eng = WorkflowEngine(pool, reg)
+    submit_call = pool.submit_call
+
+    def fastest_worker(*args, **kwargs):
+        # the graph is fetched, executed and emitted before submit_call returns
+        gid = submit_call(*args, **kwargs)
+        got, instr = pool.fetch_fireable(0.1)
+        outputs = reg.run_encoded(instr.opcode, [t.value for t in instr.inputs])
+        pool.complete(got, instr.id, outputs)
+        return gid
+
+    pool.submit_call = fastest_worker
+    assert eng.submit("inc", [1]).get_value(0.5) == 2

@@ -5,6 +5,10 @@
     mdflow bench-grain --grains 3,70,200 --workers 1..8 --out grain.csv
     mdflow bench-adapt --config adapt.cfg
     mdflow oracle --program 'pipe(seq:f,seq:g)' --in tasks.json --out results.json
+
+`run` turns its flags into `key = value` pairs and `bench-adapt` reads them
+from its config file; both build their config with
+`ExperimentConfig.from_pairs`, so the two share one key list.
 """
 from __future__ import annotations
 
@@ -21,13 +25,9 @@ from .harness import (
     bench_grain,
     grain_csv,
     parse_config_file,
-    parse_fault_script,
-    parse_overload_script,
-    parse_workers,
     run_experiment,
     run_oracle,
 )
-from .manager import parse_contract
 from .ops import default_registry
 from .protocol import WorkerServer
 
@@ -44,27 +44,18 @@ def _parse_range(spec: str) -> list[int]:
     return values
 
 
+def _script_lines(path: str, key: str) -> list[tuple[str, str]]:
+    return [pair for pair in parse_config_file(path) if pair[0] == key] if path else []
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    fault_script = []
-    overload_script = []
-    if args.faults:
-        fault_script = parse_fault_script(parse_config_file(args.faults))
-    if args.overload:
-        overload_script = parse_overload_script(parse_config_file(args.overload))
-    config = ExperimentConfig(
-        program=args.program,
-        tasks=args.tasks,
-        grain_ms=args.grain,
-        comm_delay_ms=args.comm,
-        workers=parse_workers(args.workers),
-        contract=parse_contract(args.contract) if args.contract else None,
-        normalize=args.normalize,
-        fault_script=fault_script,
-        overload_script=overload_script,
-        spare_workers=parse_workers(args.spares) if args.spares else [],
-    )
+    pairs = [("program", args.program), ("tasks", str(args.tasks)),
+             ("grain", str(args.grain)), ("comm", str(args.comm)),
+             ("workers", args.workers), ("spares", args.spares),
+             ("contract", args.contract), ("normalize", str(args.normalize))]
+    pairs += _script_lines(args.faults, "kill") + _script_lines(args.overload, "overload")
     try:
-        report = run_experiment(config)
+        report = run_experiment(ExperimentConfig.from_pairs(pairs))
     except Exception as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_INFRA
@@ -106,24 +97,13 @@ def cmd_bench_grain(args: argparse.Namespace) -> int:
     return 0
 
 
+#: bench-adapt's defaults where they differ from ExperimentConfig's
+_ADAPT_DEFAULTS = [("tasks", "1000"), ("workers", "local:2"), ("spares", "local:4")]
+
+
 def cmd_bench_adapt(args: argparse.Namespace) -> int:
     pairs = parse_config_file(args.config)
-    kv = dict(pairs)
-    config = ExperimentConfig(
-        program=kv.get("program", "farm(seq:work)"),
-        tasks=int(kv.get("tasks", "1000")),
-        grain_ms=float(kv.get("grain", "0")),
-        comm_delay_ms=float(kv.get("comm", "0")),
-        workers=parse_workers(kv.get("workers", "local:2")),
-        spare_workers=parse_workers(kv.get("spares", "local:4")),
-        contract=parse_contract(kv["contract"]),
-        window_s=float(kv.get("window", "10")),
-        tick_s=float(kv.get("tick", "1")),
-        run_duration_s=float(kv.get("duration", "120")),
-        contract_delay_s=float(kv.get("contract_delay", "0")),
-        overload_script=parse_overload_script(pairs),
-    )
-    report = bench_adapt(config)
+    report = bench_adapt(ExperimentConfig.from_pairs(_ADAPT_DEFAULTS + pairs))
     doc = {
         "throughput_series": report.throughput_series,
         "worker_series": report.worker_series,
@@ -131,7 +111,7 @@ def cmd_bench_adapt(args: argparse.Namespace) -> int:
         "escalations": report.escalations,
         "emitted": report.emitted,
     }
-    out = kv.get("out", args.out)
+    out = dict(pairs).get("out", args.out)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)

@@ -87,10 +87,14 @@ OUT = Dest()
 
 @dataclass
 class Token:
-    """Single-assignment value slot: <value, presenceBit>."""
+    """Single-assignment value slot.  Payloads are always bytes, so the slot
+    is present exactly when its value is not None."""
 
     value: Optional[bytes] = None
-    present: bool = False
+
+    @property
+    def present(self) -> bool:
+        return self.value is not None
 
 
 @dataclass
@@ -111,7 +115,7 @@ class MdfInstruction:
             self.id,
             self.gid,
             self.opcode,
-            [Token(t.value, t.present) for t in self.inputs],
+            [Token(t.value) for t in self.inputs],
             list(self.dests),
         )
 
@@ -129,16 +133,17 @@ def store_token(instr: MdfInstruction, slot: int, value: bytes) -> MdfInstructio
     """Store a token in a 1-based slot.  The slot must be absent."""
     if slot < 1 or slot > instr.in_arity:
         raise SlotOutOfRange(f"instruction {instr.id}: slot {slot} of {instr.in_arity}")
+    if value is None:
+        raise MdfError(f"instruction {instr.id}: slot {slot} given no value")
     token = instr.inputs[slot - 1]
-    if token.present:
+    if token.value is not None:
         raise SlotOccupied(f"instruction {instr.id}: slot {slot} already present")
     token.value = value
-    token.present = True
     return instr
 
 
 def is_fireable(instr: MdfInstruction) -> bool:
-    return all(t.present for t in instr.inputs)
+    return all(t.value is not None for t in instr.inputs)
 
 
 @dataclass
@@ -223,7 +228,7 @@ def instantiate(template: MdfGraph, gid: int) -> MdfGraph:
                  for d in instr.dests]
         instrs[iid] = MdfInstruction(
             iid, gid, instr.opcode,
-            [Token(t.value, t.present) for t in instr.inputs],
+            [Token(t.value) for t in instr.inputs],
             dests,
         )
     return MdfGraph(instrs, template.input_id, gid=gid, provenance=template.provenance)
@@ -257,7 +262,7 @@ def canonical_renumber(g: MdfGraph, gid: int = 1) -> MdfGraph:
                  for d in instr.dests]
         instrs[mapping[old]] = MdfInstruction(
             mapping[old], gid, instr.opcode,
-            [Token(t.value, t.present) for t in instr.inputs],
+            [Token(t.value) for t in instr.inputs],
             dests,
         )
     return MdfGraph(instrs, mapping[g.input_id], gid=gid, provenance=g.provenance)
@@ -278,7 +283,7 @@ def dump(g: MdfGraph) -> str:
     for iid in sorted(g.instructions):
         instr = g.instructions[iid]
         toks = ",".join(
-            repr(codec.decode(t.value)) if t.present else "_" for t in instr.inputs
+            repr(codec.decode(t.value)) if t.value is not None else "_" for t in instr.inputs
         )
         dests = ",".join(
             "OUT" if d.is_external

@@ -1,6 +1,14 @@
 """Experiment drivers: full runs, grain/efficiency sweeps, adaptation
 scenarios, fault injection, and the sequential oracle entry point.
 
+`run_experiment` and `bench_adapt` shape the result of one experiment
+session: compile, build the pool, runtime and manager, recruit, submit the
+stream, then follow a single timeline that applies the scripted kills,
+overloads and the contract arming when due and samples throughput and
+worker count every SAMPLE_S until the pool drains or the run's time is up.
+`ExperimentConfig.from_pairs` turns `key = value` pairs (a config file, or
+command line flags) into the one config both take.
+
 Grain is realized as sleep inside synthetic opcodes; the injected
 communication delay occupies a shared link exclusively per dispatch, which
 is what makes fine-grain programs stop scaling as workers are added.
@@ -10,15 +18,15 @@ competing for the CPU, so scripted scenarios reproduce exactly.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Union
+from functools import partial
+from typing import Any, Callable, Optional, Sequence
 
 from . import codec
 from .compiler import Skeleton, compile_skeleton, normalize, parse_skeleton
 from .core import MdfGraph, OpcodeRegistry
-from .manager import Contract, EventLog, Manager, Throughput, parse_contract
+from .manager import Contract, Manager, Throughput, parse_contract
 from .ops import default_registry
 from .oracle import eval_skeleton, eval_workflow
 from .runtime import Runtime, WorkerSpec
@@ -28,6 +36,9 @@ from .workflow import WorkflowEngine, load_workflow
 EXIT_OK = 0
 EXIT_ESCALATED = 2
 EXIT_INFRA = 3
+
+#: seconds between the session's throughput / worker-count samples
+SAMPLE_S = 0.5
 
 
 @dataclass
@@ -52,6 +63,16 @@ class ExperimentConfig:
     contract_delay_s: float = 0.0
     run_duration_s: Optional[float] = None  # stop feeding/draining after this
     drain_timeout_s: float = 600.0
+
+    @classmethod
+    def from_pairs(cls, pairs: list[tuple[str, str]]) -> "ExperimentConfig":
+        """Config from `key = value` pairs: a later pair overrides an earlier
+        one, `kill` and `overload` entries add to the scripts, and any other
+        key is ignored."""
+        fields = {_CONFIG_KEYS[k][0]: _CONFIG_KEYS[k][1](v)
+                  for k, v in pairs if k in _CONFIG_KEYS}
+        return cls(fault_script=parse_fault_script(pairs),
+                   overload_script=parse_overload_script(pairs), **fields)
 
 
 @dataclass
@@ -98,85 +119,112 @@ def template_cost_ms(template: MdfGraph, registry: OpcodeRegistry) -> float:
     return sum(registry.resolve(i.opcode).cost_ms for i in template.instructions.values())
 
 
-def run_experiment(config: ExperimentConfig,
-                   registry: Optional[OpcodeRegistry] = None,
-                   inputs: Optional[Sequence[Any]] = None) -> RunReport:
-    """Full pipeline: compile -> recruit -> submit stream -> drain -> report."""
+@dataclass
+class _Session:
+    """What one finished experiment run leaves for its report."""
+
+    pool: TaskPool
+    manager: Manager
+    cost_ms: float  # ideal sequential compute per task
+    workers: int
+    tasks: int
+    t_start: float
+    t_end: float
+    #: (t since start, pool throughput over the window, active workers)
+    samples: list[tuple[float, float, int]]
+
+
+def _run_session(config: ExperimentConfig, registry: Optional[OpcodeRegistry],
+                 inputs: Optional[Sequence[Any]],
+                 duration_s: Optional[float]) -> _Session:
+    """Compile, recruit, submit the stream, then follow one timeline: apply
+    each scripted kill, overload and the contract arming when due, and sample
+    every SAMPLE_S until the pool drains or `duration_s` (the drain timeout
+    when None) runs out."""
     registry = registry or default_registry(config.grain_ms)
     skeleton = parse_skeleton(config.program)
     if config.normalize:
         skeleton = normalize(skeleton)
     template = compile_skeleton(skeleton)
     opcodes = sorted({i.opcode for i in template.instructions.values()})
-
     pool = TaskPool(throughput_window_s=config.window_s)
     runtime = Runtime(pool, registry, comm_delay_ms=config.comm_delay_ms,
                       required_opcodes=opcodes)
-    events = EventLog()
+    manager = Manager(runtime, pool, recruit_specs=list(config.spare_workers),
+                      tick_s=config.tick_s, window_s=config.window_s)
     descriptors = [runtime.recruit(spec) for spec in config.workers]
-    runtime.start()
 
-    manager: Optional[Manager] = None
+    def overload(i: int, factor: float) -> None:
+        descriptors[i].slowdown = factor
+        manager.events.append("overload", {"worker": descriptors[i].wid, "factor": factor})
+
+    script = [(at, partial(runtime.kill_worker, descriptors[i]))
+              for at, i in config.fault_script]
+    script += [(at, partial(overload, i, f)) for at, i, f in config.overload_script]
     if config.contract is not None:
-        manager = Manager(runtime, pool, recruit_specs=list(config.spare_workers),
-                          tick_s=config.tick_s, window_s=config.window_s,
-                          event_log=events)
-        manager.set_contract(config.contract)
-        manager.start()
-
-    timers: list[threading.Timer] = []
-    for at_s, widx in config.fault_script:
-        timers.append(threading.Timer(
-            at_s, lambda i=widx: runtime.kill_worker(descriptors[i])))
-    for at_s, widx, factor in config.overload_script:
-        def apply(i=widx, f=factor):
-            descriptors[i].slowdown = f
-            events.append("overload", {"worker": descriptors[i].wid, "factor": f})
-        timers.append(threading.Timer(at_s, apply))
-    for t in timers:
-        t.daemon = True
-        t.start()
-
+        script.append((config.contract_delay_s,
+                       partial(manager.set_contract, config.contract)))
+    script.sort(key=lambda entry: entry[0])
     if inputs is None:
         inputs = list(range(config.tasks))
-    t_start = time.time()
-    for task in inputs:
-        pool.submit_task(template, codec.encode(task))
 
-    if config.run_duration_s is not None:
-        time.sleep(config.run_duration_s)
-    else:
-        pool.wait_quiescent(config.drain_timeout_s)
-    t_end = time.time()
-
-    if manager is not None:
+    samples: list[tuple[float, float, int]] = []
+    runtime.start()
+    if config.contract is not None:
+        manager.start()
+    try:
+        t_start = time.time()
+        for task in inputs:
+            pool.submit_task(template, codec.encode(task))
+        end = t_start + (duration_s if duration_s is not None else config.drain_timeout_s)
+        next_sample = t_start
+        while True:
+            now = time.time()
+            while script and t_start + script[0][0] <= now:
+                script.pop(0)[1]()
+            if now >= next_sample:
+                samples.append((now - t_start, pool.throughput(config.window_s),
+                                runtime.active_count()))
+                next_sample = now + SAMPLE_S
+            if now >= end:
+                break
+            wake = min(next_sample, end, t_start + script[0][0] if script else end)
+            if pool.wait_quiescent(max(0.0, wake - time.time())):
+                break
+        t_end = time.time()
+    finally:
         manager.stop()
-    for t in timers:
-        t.cancel()
-    pool.close()
-    runtime.shutdown()
+        pool.close()
+        runtime.shutdown()
+    return _Session(pool, manager, template_cost_ms(template, registry), len(descriptors),
+                    len(inputs), t_start, t_end, samples)
 
-    completion_ms = (t_end - t_start) * 1000.0
-    records = list(pool.results)
+
+def run_experiment(config: ExperimentConfig,
+                   registry: Optional[OpcodeRegistry] = None,
+                   inputs: Optional[Sequence[Any]] = None) -> RunReport:
+    """Full pipeline: compile -> recruit -> submit stream -> drain -> report."""
+    session = _run_session(config, registry, inputs, config.run_duration_s)
+    completion_ms = (session.t_end - session.t_start) * 1000.0
+    records = list(session.pool.results)
     failures = sum(1 for r in records if r.error is not None)
     results = {r.seq: codec.decode(r.value) for r in records if r.error is None}
     latencies = [(r.complete_ts - r.dispatch_ts) * 1000.0 for r in records]
     series: dict[int, int] = {}
     for r in records:
-        bucket = int(r.complete_ts - t_start)
+        bucket = int(r.complete_ts - session.t_start)
         series[bucket] = series.get(bucket, 0) + 1
-    cost = template_cost_ms(template, registry)
-    w = len(descriptors)
+    cost, w, tasks = session.cost_ms, session.workers, session.tasks
     efficiency = None
-    if cost > 0 and completion_ms > 0 and w > 0 and len(records) == len(inputs):
-        efficiency = (len(inputs) * cost) / (w * completion_ms)
-    escalated = bool(manager.escalations) if manager is not None else False
+    if cost > 0 and completion_ms > 0 and w > 0 and len(records) == tasks:
+        efficiency = (tasks * cost) / (w * completion_ms)
+    escalated = bool(session.manager.escalations)
     exit_code = EXIT_ESCALATED if escalated else EXIT_OK
-    if config.run_duration_s is None and len(records) < len(inputs):
+    if config.run_duration_s is None and len(records) < tasks:
         exit_code = EXIT_INFRA
     return RunReport(
         completion_ms=completion_ms,
-        tasks=len(inputs),
+        tasks=tasks,
         emitted=len(records),
         failures=failures,
         workers=w,
@@ -184,7 +232,7 @@ def run_experiment(config: ExperimentConfig,
         latencies_ms=latencies,
         throughput_series=sorted(series.items()),
         results=results,
-        events=events.entries(),
+        events=session.manager.events.entries(),
         escalated=escalated,
         exit_code=exit_code,
     )
@@ -234,56 +282,15 @@ def bench_adapt(config: ExperimentConfig,
     throughput contract, and the manager free to add workers."""
     if not isinstance(config.contract, Throughput):
         raise ValueError("bench_adapt needs a Throughput contract")
-    registry = registry or default_registry(config.grain_ms)
-    template = compile_skeleton(parse_skeleton(config.program))
-    opcodes = sorted({i.opcode for i in template.instructions.values()})
-    pool = TaskPool(throughput_window_s=config.window_s)
-    runtime = Runtime(pool, registry, comm_delay_ms=config.comm_delay_ms,
-                      required_opcodes=opcodes)
-    events = EventLog()
-    descriptors = [runtime.recruit(spec) for spec in config.workers]
-    runtime.start()
-    manager = Manager(runtime, pool, recruit_specs=list(config.spare_workers),
-                      tick_s=config.tick_s, window_s=config.window_s,
-                      event_log=events)
-    if config.contract_delay_s <= 0:
-        manager.set_contract(config.contract)
-    manager.start()
-
-    for task in range(config.tasks):
-        pool.submit_task(template, codec.encode(task))
-
-    duration = config.run_duration_s or 120.0
-    t0 = time.time()
-    script = sorted(config.overload_script)
-    throughput_series: list[tuple[float, float]] = []
-    worker_series: list[tuple[float, int]] = []
-    next_overload = 0
-    contract_armed = config.contract_delay_s <= 0
-    while time.time() - t0 < duration:
-        now = time.time() - t0
-        if not contract_armed and now >= config.contract_delay_s:
-            manager.set_contract(config.contract)
-            contract_armed = True
-        while next_overload < len(script) and script[next_overload][0] <= now:
-            _, widx, factor = script[next_overload]
-            descriptors[widx].slowdown = factor
-            events.append("overload", {"worker": descriptors[widx].wid, "factor": factor})
-            next_overload += 1
-        throughput_series.append((now, pool.throughput(config.window_s)))
-        worker_series.append((now, runtime.active_count()))
-        time.sleep(0.5)
-
-    manager.stop()
-    pool.close()
-    runtime.shutdown()
+    session = _run_session(config, registry, None, config.run_duration_s or 120.0)
+    events = session.manager.events
     return AdaptReport(
-        throughput_series=throughput_series,
-        worker_series=worker_series,
+        throughput_series=[(t, rate) for t, rate, _ in session.samples],
+        worker_series=[(t, n) for t, _, n in session.samples],
         reconfigurations=events.entries("add_worker") + events.entries("remove_worker"),
         escalations=events.entries("escalation"),
         events=events.entries(),
-        emitted=pool.metrics()["emitted"],
+        emitted=session.pool.metrics()["emitted"],
     )
 
 
@@ -300,7 +307,8 @@ def run_oracle(program: str, inputs: Sequence[Any],
 
 
 def parse_workers(spec: str) -> list[WorkerSpec]:
-    """Parse "local:8" or a comma list of local / host:port entries."""
+    """Parse a comma list of `local`, `local:N`, `host:port` and
+    `remote:host:port` entries."""
     specs: list[WorkerSpec] = []
     for part in spec.split(","):
         part = part.strip()
@@ -311,7 +319,7 @@ def parse_workers(spec: str) -> list[WorkerSpec]:
         elif part.startswith("local:"):
             specs.extend(["local"] * int(part.split(":")[1]))
         else:
-            host, port = part.rsplit(":", 1)
+            host, port = part.removeprefix("remote:").rsplit(":", 1)
             specs.append((host, int(port)))
     return specs
 
@@ -347,3 +355,20 @@ def parse_overload_script(pairs: list[tuple[str, str]]) -> list[tuple[float, int
             at, widx, factor = value.split(":")
             script.append((float(at), int(widx), float(factor)))
     return script
+
+
+#: config key -> (ExperimentConfig field, parser of the value text)
+_CONFIG_KEYS: dict[str, tuple[str, Callable[[str], Any]]] = {
+    "program": ("program", str),
+    "tasks": ("tasks", int),
+    "grain": ("grain_ms", float),
+    "comm": ("comm_delay_ms", float),
+    "workers": ("workers", parse_workers),
+    "spares": ("spare_workers", parse_workers),
+    "contract": ("contract", lambda v: parse_contract(v) if v else None),
+    "normalize": ("normalize", lambda v: v.lower() == "true"),
+    "window": ("window_s", float),
+    "tick": ("tick_s", float),
+    "duration": ("run_duration_s", float),
+    "contract_delay": ("contract_delay_s", float),
+}

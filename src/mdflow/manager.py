@@ -18,8 +18,7 @@ import ast
 import json
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from .core import MdfError
@@ -179,28 +178,6 @@ def linear_scaling_plans(max_add: int = 4) -> list[Plan]:
 # Monitoring substrate
 
 @dataclass
-class MeasureWindow:
-    """Ring of timestamped samples over a sliding window."""
-
-    name: str
-    window_s: float
-    samples: deque = field(default_factory=deque)
-
-    def add(self, value: float, ts: Optional[float] = None) -> None:
-        self.samples.append((ts if ts is not None else time.time(), value))
-        self._trim()
-
-    def _trim(self) -> None:
-        cutoff = time.time() - self.window_s
-        while self.samples and self.samples[0][0] < cutoff:
-            self.samples.popleft()
-
-    def values(self) -> list[float]:
-        self._trim()
-        return [v for _, v in self.samples]
-
-
-@dataclass
 class EscalationEvent:
     """Raised (to the parent / registered callback) when no plan is valid."""
 
@@ -257,7 +234,6 @@ class Manager:
                  plans: Optional[list[Plan]] = None,
                  tick_s: float = 1.0, window_s: float = 10.0,
                  cooldown_ticks: int = 2,
-                 event_log: Optional[EventLog] = None,
                  escalation_cb: Optional[Callable[[EscalationEvent], None]] = None) -> None:
         self.runtime = runtime
         self.pool = pool
@@ -266,7 +242,7 @@ class Manager:
         self.tick_s = tick_s
         self.window_s = window_s
         self.cooldown_ticks = cooldown_ticks
-        self.events = event_log or EventLog()
+        self.events = EventLog()
         self.escalation_cb = escalation_cb
         self.escalations: list[EscalationEvent] = []
         self._contract: Optional[Contract] = None

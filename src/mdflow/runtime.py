@@ -157,10 +157,7 @@ class Runtime:
 
     def recruit(self, spec: WorkerSpec) -> WorkerDescriptor:
         """Add a worker in idle state.  spec is "local" or a (host, port)
-        address (also accepted as "remote:host:port")."""
-        if isinstance(spec, str) and spec.startswith("remote:"):
-            _, host, port = spec.split(":")
-            spec = (host, int(port))
+        address; `harness.parse_workers` reads the text forms."""
         if spec == "local":
             executor = LocalExecutor(self.registry)
             desc = WorkerDescriptor(next(self._wid), "local")

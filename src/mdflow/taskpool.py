@@ -193,7 +193,8 @@ class TaskPool:
 
         Returns False (and delivers nothing) for duplicates: a second
         completion of a requeued instruction, or a completion arriving after
-        the graph retired."""
+        the graph retired.  An output count that fits neither the dests nor
+        a single dest fails the graph: the instruction is at fault."""
         with self._cond:
             live = self._graphs.get(gid)
             if live is None or live.state.get(iid) == DONE:
@@ -202,13 +203,13 @@ class TaskPool:
             instr = live.graph.instructions[iid]
             dests = instr.dests
             if len(outputs) != len(dests):
-                if len(dests) == 1:
-                    # multi-output opcode behind a single destination: the
-                    # token carries the whole output vector
-                    outputs = [codec.encode([codec.decode(o) for o in outputs])]
-                else:
-                    raise MdfError(
-                        f"instruction {iid}: {len(outputs)} outputs for {len(dests)} dests")
+                if len(dests) != 1:
+                    self._retire(gid, None, iid, error=(
+                        f"instruction {iid}: {len(outputs)} outputs for {len(dests)} dests"))
+                    return True
+                # multi-output opcode behind a single destination: the
+                # token carries the whole output vector
+                outputs = [codec.encode([codec.decode(o) for o in outputs])]
             now = time.time()
             self.execution_log.append({
                 "gid": gid, "iid": iid, "opcode": instr.opcode,

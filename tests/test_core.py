@@ -9,6 +9,7 @@ from mdflow.core import (
     Dest,
     DumpFormatError,
     EmptyDests,
+    MdfError,
     MdfGraph,
     NoId,
     OpcodeError,
@@ -92,6 +93,14 @@ def test_store_token_slot_out_of_range():
         store_token(instr, 2, codec.encode(1))
     with pytest.raises(SlotOutOfRange):
         store_token(instr, 0, codec.encode(1))
+
+
+def test_store_token_rejects_none():
+    # presence is `value is not None`, so a None value would leave the slot absent
+    instr = make_instruction(1, 1, "f", 1, [OUT])
+    with pytest.raises(MdfError):
+        store_token(instr, 1, None)
+    assert not instr.inputs[0].present
 
 
 def test_is_fireable_zero_of_two():

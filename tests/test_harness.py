@@ -1,5 +1,6 @@
 """Experiment drivers and CLI surface."""
 import json
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from mdflow.harness import (
     EXIT_INFRA,
     EXIT_OK,
     ExperimentConfig,
+    bench_adapt,
     grain_csv,
     parse_config_file,
     parse_fault_script,
@@ -17,7 +19,9 @@ from mdflow.harness import (
     run_oracle,
     template_cost_ms,
 )
+from mdflow.manager import ParDegree, Throughput
 from mdflow.ops import default_registry
+from mdflow.protocol import WorkerServer
 from mdflow import cli
 
 
@@ -77,6 +81,25 @@ def test_efficiency_in_noise_band_for_one_worker():
     assert 0 < report.efficiency <= 1.05
 
 
+def test_run_arms_contract_after_its_delay():
+    t_before = time.time()
+    report = run_experiment(ExperimentConfig(
+        program="farm(seq:work)", tasks=20, grain_ms=50.0, workers=["local"],
+        contract=ParDegree(1), contract_delay_s=0.5))
+    armed = [e["ts"] for e in report.events if e["kind"] == "contract"]
+    assert len(armed) == 1 and armed[0] - t_before >= 0.5
+
+
+def test_bench_adapt_applies_fault_script():
+    # the contract is never armed: only the scripted kill changes the pool
+    report = bench_adapt(ExperimentConfig(
+        program="farm(seq:work)", tasks=100, grain_ms=50.0, workers=["local"] * 2,
+        contract=Throughput(0.1), contract_delay_s=10.0, run_duration_s=1.5,
+        fault_script=[(0.3, 0)]))
+    counts = [n for _, n in report.worker_series]
+    assert counts[0] == 2 and counts[-1] == 1
+
+
 def test_template_cost_ms():
     reg = default_registry(grain_ms=7.0)
     t = compile_skeleton(parse_skeleton("pipe(seq:f,seq:g)"))
@@ -116,6 +139,8 @@ def test_run_oracle_workflow_file(tmp_path):
 def test_parse_workers():
     assert parse_workers("local:3") == ["local", "local", "local"]
     assert parse_workers("local,host1:7000") == ["local", ("host1", 7000)]
+    assert parse_workers("local:2,remote:127.0.0.1:7000") == \
+        ["local", "local", ("127.0.0.1", 7000)]
 
 
 def test_parse_config_and_scripts(tmp_path):
@@ -184,3 +209,32 @@ def test_cli_bench_adapt_control_run(tmp_path):
     # healthy rate, no overload script: zero reconfigurations
     assert doc["reconfigurations"] == []
     assert doc["escalations"] == []
+
+
+def test_cli_run_applies_fault_and_overload_files(tmp_path, monkeypatch):
+    reports = []
+
+    def spy(config):
+        reports.append(run_experiment(config))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", spy)
+    # each file's other key is ignored: --faults only kills, --overload only slows
+    faults = tmp_path / "f.cfg"
+    faults.write_text("kill = 0.1:0\noverload = 0.05:0:9\n")
+    overload = tmp_path / "o.cfg"
+    overload.write_text("overload = 0.05:1:2\nkill = 0.05:1\n")
+    server = WorkerServer(default_registry()).start()
+    try:
+        # 60 dispatches of 5 ms each over the shared link outlast both scripts
+        rc = cli.main(["run", "--program", "farm(seq:f)", "--tasks", "60",
+                       "--grain", "2", "--comm", "5",
+                       "--workers", f"local:2,remote:127.0.0.1:{server.port}",
+                       "--faults", str(faults), "--overload", str(overload)])
+    finally:
+        server.stop()
+    assert rc == 0
+    report = reports[0]
+    assert report.results == run_oracle("farm(seq:f)", list(range(60)))
+    assert [e["detail"] for e in report.events if e["kind"] == "overload"] == \
+        [{"worker": 2, "factor": 2.0}]

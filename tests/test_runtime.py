@@ -5,6 +5,7 @@ import pytest
 
 from mdflow import codec
 from mdflow.compiler import Farm, Seq, compile_skeleton
+from mdflow.core import parse_dump
 from mdflow.ops import default_registry
 from mdflow.oracle import eval_skeleton
 from mdflow.runtime import BadState, Runtime, Unreachable
@@ -139,6 +140,24 @@ def test_deterministic_opcode_fault_fails_graph_not_worker():
     assert codec.decode(pool.results[1].value) == 2
     assert descs[0].state != "failed"
     runtime.shutdown()
+
+
+def test_output_count_mismatch_fails_graph_not_worker():
+    # split3 yields three outputs for an instruction with two dests
+    bad = parse_dump("1 _ split3 [_] -> [(_,2,1),(_,2,2)]\n2 _ add2 [_,_] -> [OUT]\n")
+    pool, runtime, descs, _ = make_runtime(1)
+    pool.submit_task(bad, codec.encode(1))
+    pool.submit_task(compile_skeleton(Seq("inc")), codec.encode(1))
+    assert pool.wait_quiescent(5)
+    deadline = time.monotonic() + 2
+    while descs[0].state != "idle" and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert descs[0].state == "idle" and descs[0]._thread.is_alive()
+    runtime.shutdown()
+    errors = [r for r in pool.results if r.error is not None]
+    assert len(pool.results) == 2 and [r.seq for r in errors] == [0]
+    assert "3 outputs for 2 dests" in errors[0].error
+    assert codec.decode(pool.results[1].value) == 2
 
 
 def test_comm_delay_serializes_on_shared_link():

@@ -12,6 +12,7 @@ graph ids and the external output.
 from __future__ import annotations
 
 import copy
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -461,8 +462,15 @@ class OpcodeRegistry:
             raise OpcodeError(f"{name}: declared {op.out_arity} outputs, produced {len(outs)}")
         return outs
 
-    def run_encoded(self, name: str, payloads: list[bytes]) -> list[bytes]:
-        """Execute on encoded payloads (deep-copy semantics via the codec)."""
+    def run_encoded(self, name: str, payloads: list[bytes],
+                    slowdown: float = 1.0) -> list[bytes]:
+        """Execute on encoded payloads (deep-copy semantics via the codec),
+        after charging the opcode's synthetic cost, scaled by `slowdown`, as
+        sleep (which releases the GIL).  Local and remote workers both run
+        instructions through here."""
+        cost_ms = self.resolve(name).cost_ms
+        if cost_ms > 0:
+            time.sleep(cost_ms * slowdown / 1000.0)
         args = [codec.decode(p) for p in payloads]
         return [codec.encode(v) for v in self.run(name, args)]
 

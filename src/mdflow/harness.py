@@ -141,13 +141,16 @@ def _run_session(config: ExperimentConfig, registry: Optional[OpcodeRegistry],
     each scripted kill, overload and the contract arming when due, and sample
     every SAMPLE_S until the pool drains or `duration_s` (the drain timeout
     when None) runs out."""
+    for _, i, _ in config.overload_script:
+        if config.workers[i] != "local":
+            raise ValueError(f"overload entry for worker {i}: only local workers slow down")
     registry = registry or default_registry(config.grain_ms)
     skeleton = parse_skeleton(config.program)
     if config.normalize:
         skeleton = normalize(skeleton)
     template = compile_skeleton(skeleton)
     opcodes = sorted({i.opcode for i in template.instructions.values()})
-    pool = TaskPool(throughput_window_s=config.window_s)
+    pool = TaskPool()
     runtime = Runtime(pool, registry, comm_delay_ms=config.comm_delay_ms,
                       required_opcodes=opcodes)
     manager = Manager(runtime, pool, recruit_specs=list(config.spare_workers),

@@ -15,7 +15,6 @@ resources degrades to whatever can be recruited, down to one local worker.
 from __future__ import annotations
 
 import ast
-import json
 import threading
 import time
 from dataclasses import dataclass
@@ -196,20 +195,16 @@ _HARMONIZERS: dict[str, Callable[[Sequence[float]], float]] = {
 
 
 class EventLog:
-    """Append-only event log; optionally mirrored to a JSON-lines file."""
+    """Append-only event log."""
 
-    def __init__(self, path: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: list[dict] = []
-        self._path = path
 
     def append(self, kind: str, detail: Any) -> dict:
         entry = {"ts": time.time(), "kind": kind, "detail": detail}
         with self._lock:
             self._entries.append(entry)
-            if self._path:
-                with open(self._path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(entry) + "\n")
         return entry
 
     def entries(self, kind: Optional[str] = None) -> list[dict]:

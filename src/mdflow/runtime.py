@@ -31,6 +31,9 @@ from .taskpool import NotInFlight, TaskPool
 
 WorkerSpec = Union[str, tuple[str, int]]
 
+#: floor of a remote dispatch's deadline (seconds)
+REMOTE_DEADLINE_S = 10.0
+
 
 class Unreachable(MdfError):
     pass
@@ -67,8 +70,8 @@ class WorkerDescriptor:
 
 
 class LocalExecutor:
-    """In-process executor; charges the opcode's synthetic cost (scaled by
-    the descriptor's slowdown factor) as sleep, releasing the GIL."""
+    """In-process executor; the opcode's synthetic cost is scaled by the
+    descriptor's slowdown factor."""
 
     kind = "local"
 
@@ -76,12 +79,11 @@ class LocalExecutor:
         self.registry = registry
 
     def execute(self, desc: WorkerDescriptor, instr: MdfInstruction) -> list[bytes]:
-        op = self.registry.resolve(instr.opcode)
-        if op.cost_ms > 0:
-            time.sleep(op.cost_ms * desc.slowdown / 1000.0)
+        outputs = self.registry.run_encoded(
+            instr.opcode, [t.value for t in instr.inputs], desc.slowdown)
         if desc._killed.is_set():
             raise WorkerKilled(f"worker {desc.wid} died mid-instruction")
-        return self.registry.run_encoded(instr.opcode, [t.value for t in instr.inputs])
+        return outputs
 
     def close(self) -> None:
         pass
@@ -90,18 +92,17 @@ class LocalExecutor:
 class RemoteExecutor:
     """Executor backed by a remote worker daemon over the wire protocol.
 
-    The per-dispatch deadline is max(base_deadline, 8 x rolling mean
+    The per-dispatch deadline is max(REMOTE_DEADLINE_S, 8 x rolling mean
     instruction duration); transport loss surfaces as RemoteFailure.
     """
 
     kind = "remote"
 
-    def __init__(self, host: str, port: int, base_deadline_s: float = 10.0) -> None:
+    def __init__(self, host: str, port: int) -> None:
         try:
             self.client = WorkerClient(host, port)
         except (OSError, ConnectionError) as exc:
             raise Unreachable(f"{host}:{port}: {exc}") from exc
-        self.base_deadline_s = base_deadline_s
         self._durations: deque[float] = deque(maxlen=64)
 
     @property
@@ -110,8 +111,8 @@ class RemoteExecutor:
 
     def _deadline(self) -> float:
         if not self._durations:
-            return self.base_deadline_s
-        return max(self.base_deadline_s, 8.0 * statistics.fmean(self._durations))
+            return REMOTE_DEADLINE_S
+        return max(REMOTE_DEADLINE_S, 8.0 * statistics.fmean(self._durations))
 
     def execute(self, desc: WorkerDescriptor, instr: MdfInstruction) -> list[bytes]:
         if desc._killed.is_set():
@@ -137,14 +138,13 @@ class Runtime:
     def __init__(self, pool: TaskPool, registry: OpcodeRegistry,
                  comm_delay_ms: float = 0.0,
                  required_opcodes: Optional[list[str]] = None,
-                 failure_cb: Optional[Callable[[WorkerDescriptor, Exception], None]] = None,
-                 base_deadline_s: float = 10.0) -> None:
+                 failure_cb: Optional[Callable[[WorkerDescriptor, Exception], None]] = None
+                 ) -> None:
         self.pool = pool
         self.registry = registry
         self.comm_delay_ms = comm_delay_ms
         self.required_opcodes = list(required_opcodes or [])
         self.failure_cb = failure_cb
-        self.base_deadline_s = base_deadline_s
         self._wid = itertools.count(1)
         self._lock = threading.Lock()
         self.workers: dict[int, WorkerDescriptor] = {}
@@ -163,7 +163,7 @@ class Runtime:
             desc = WorkerDescriptor(next(self._wid), "local")
         else:
             host, port = spec
-            executor = RemoteExecutor(host, port, self.base_deadline_s)
+            executor = RemoteExecutor(host, port)
             names = {name for name, _, _ in executor.manifest}
             missing = [op for op in self.required_opcodes
                        if not manifest_supports(names, op)]

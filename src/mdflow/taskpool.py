@@ -10,6 +10,7 @@ the graph retires.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import threading
 import time
@@ -45,9 +46,10 @@ class NotInFlight(MdfError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class ResultRecord:
-    """One emitted result: seq is the submission sequence number."""
+    """One emitted result, the pool's only record of an emission: seq is the
+    submission sequence number."""
 
     seq: int
     gid: int
@@ -78,7 +80,7 @@ class TaskPool:
     fireability check and enqueueing are atomic per instruction.
     """
 
-    def __init__(self, throughput_window_s: float = 10.0) -> None:
+    def __init__(self) -> None:
         self._cond = threading.Condition()
         self._graphs: dict[int, _Live] = {}
         #: (gid, iid) of fireable instructions; a key whose instruction is no
@@ -86,17 +88,11 @@ class TaskPool:
         self._queue: deque[tuple[int, int]] = deque()
         self._gids = itertools.count(1)
         self._submitted = 0
-        self._emitted = 0
         self._closed = False
         self._paused = False
         self._sinks: list[Callable[[ResultRecord], None]] = []
+        #: every emission in complete_ts order (appended under the lock)
         self.results: list[ResultRecord] = []
-        self.window_s = throughput_window_s
-        self._emit_ts: deque[float] = deque()
-        #: dispatch timestamps, for protocol-conformance assertions
-        self.dispatch_log: list[float] = []
-        #: per-instruction execution records (opcode, dispatch, complete)
-        self.execution_log: list[dict] = []
 
     # -- submission ---------------------------------------------------------
 
@@ -179,8 +175,6 @@ class TaskPool:
         live = self._graphs.pop(gid)
         record = ResultRecord(live.seq, gid, value, live.dispatched.get(producer, now),
                               now, error)
-        self._emitted += 1
-        self._emit_ts.append(now)
         self.results.append(record)
         if live.on_emit is not None:
             live.on_emit(record)
@@ -210,11 +204,6 @@ class TaskPool:
                 # multi-output opcode behind a single destination: the
                 # token carries the whole output vector
                 outputs = [codec.encode([codec.decode(o) for o in outputs])]
-            now = time.time()
-            self.execution_log.append({
-                "gid": gid, "iid": iid, "opcode": instr.opcode,
-                "dispatched": live.dispatched.get(iid, now), "completed": now,
-            })
             for dest, value in zip(dests, outputs):
                 self._deliver(gid, dest, value, producer=iid)
             return True
@@ -239,9 +228,7 @@ class TaskPool:
                     if live is None or live.state[iid] != QUEUED:
                         continue
                     live.state[iid] = IN_FLIGHT
-                    now = time.time()
-                    self.dispatch_log.append(now)
-                    live.dispatched[iid] = now
+                    live.dispatched[iid] = time.time()
                     # no copy: a fireable instruction's slots are full for good
                     return gid, live.graph.instructions[iid]
                 remaining = deadline - time.monotonic()
@@ -288,23 +275,20 @@ class TaskPool:
                 self._cond.wait(min(remaining, 0.25))
             return True
 
-    def throughput(self, window_s: Optional[float] = None) -> float:
+    def throughput(self, window_s: float) -> float:
         """Emissions per second over the trailing window."""
-        w = window_s if window_s is not None else self.window_s
-        cutoff = time.time() - w
+        cutoff = time.time() - window_s
         with self._cond:
-            while self._emit_ts and self._emit_ts[0] < cutoff:
-                self._emit_ts.popleft()
-            return len(self._emit_ts) / w
+            first = bisect.bisect_left(self.results, cutoff, key=lambda r: r.complete_ts)
+            return (len(self.results) - first) / window_s
 
     def metrics(self) -> dict[str, Any]:
         with self._cond:
             states = [s for live in self._graphs.values() for s in live.state.values()]
             return {
                 "submitted": self._submitted,
-                "emitted": self._emitted,
+                "emitted": len(self.results),
                 "in_flight": states.count(IN_FLIGHT),
                 "fireable": states.count(QUEUED),
                 "live_graphs": len(self._graphs),
-                "throughput_window": self.window_s,
             }

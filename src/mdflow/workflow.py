@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
@@ -104,15 +103,12 @@ class WorkflowEngine:
         self.pool = pool
         self.registry = registry
         self._seq = itertools.count()
-        #: per-submission bookkeeping latency samples (seconds)
-        self.submit_latencies: list[float] = []
 
     def submit(self, opcode: str, args: Sequence[Any]) -> Future:
         """Submit a computation whose args may be payloads or Futures.
 
         Returns immediately with a pending Future; the instruction is
         dispatched once every Future argument is ready."""
-        t0 = time.perf_counter()
         op = self.registry.resolve(opcode)  # raises UnknownOpcode
         if len(args) != op.in_arity:
             raise ArityMismatch(f"{opcode}: expected {op.in_arity} args, got {len(args)}")
@@ -150,7 +146,6 @@ class WorkflowEngine:
             try_dispatch()
         for i, dep in pending:
             dep._on_done(lambda d, _i=i: on_dep_done(_i, d))
-        self.submit_latencies.append(time.perf_counter() - t0)
         return result
 
     # -- stream of workflow instances ----------------------------------------

@@ -238,3 +238,15 @@ def test_cli_run_applies_fault_and_overload_files(tmp_path, monkeypatch):
     assert report.results == run_oracle("farm(seq:f)", list(range(60)))
     assert [e["detail"] for e in report.events if e["kind"] == "overload"] == \
         [{"worker": 2, "factor": 2.0}]
+
+
+def test_overload_of_remote_worker_is_rejected_before_start():
+    server = WorkerServer(default_registry()).start()
+    try:
+        config = ExperimentConfig(
+            tasks=10, workers=["local", ("127.0.0.1", server.port)],
+            overload_script=[(0.0, 1, 4.0)])
+        with pytest.raises(ValueError, match="worker 1"):
+            run_experiment(config)
+    finally:
+        server.stop()

@@ -7,7 +7,6 @@ from mdflow import codec
 from mdflow.compiler import Seq, compile_skeleton
 from mdflow.manager import (
     ContractExpressionError,
-    EventLog,
     Manager,
     ParDegree,
     Plan,
@@ -332,16 +331,3 @@ def test_pardegree_best_effort_degrades():
     ok, _ = mgr.check_contract({"workers": 3}, ParDegree(10))
     assert ok
     runtime.shutdown()
-
-
-def test_event_log_jsonl_file(tmp_path):
-    import json
-    path = tmp_path / "events.jsonl"
-    log = EventLog(str(path))
-    log.append("tick", {"n": 1})
-    log.append("violation", {"n": 2})
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 2
-    entry = json.loads(lines[0])
-    assert set(entry) == {"ts", "kind", "detail"}
-    assert entry["kind"] == "tick"

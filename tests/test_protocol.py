@@ -1,6 +1,7 @@
 """Wire protocol: handshake, EXEC round trips, failure frames, daemon."""
 import socket
 import struct
+import time
 
 import pytest
 
@@ -52,6 +53,19 @@ def test_exec_computes(server):
     out = client.execute("add2", [codec.encode(2), codec.encode(40)], 5.0)
     assert codec.decode(out[0]) == 42
     client.close()
+
+
+def test_daemon_charges_opcode_cost():
+    srv = WorkerServer(default_registry(50.0)).start()
+    client = WorkerClient(srv.host, srv.port)
+    try:
+        t0 = time.monotonic()
+        for i in range(10):
+            assert client.execute("work", [codec.encode(i)], 5.0) == [codec.encode(i)]
+        assert time.monotonic() - t0 >= 0.5
+    finally:
+        client.close()
+        srv.stop()
 
 
 def test_ping_pong(server):

@@ -1,11 +1,16 @@
 """Task pool: instantiation, token routing, FIFO dispatch, dedup, metrics."""
+import gc
 import threading
+import time
+import tracemalloc
 
 import pytest
 
 from mdflow import codec
 from mdflow.compiler import Farm, Pipe, Seq, compile_skeleton
 from mdflow.core import OUT, Dest, is_fireable
+from mdflow.ops import default_registry
+from mdflow.runtime import Runtime
 from mdflow.taskpool import NotInFlight, PoolClosed, TaskPool, UnknownGraph
 
 
@@ -183,9 +188,56 @@ def test_conservation_and_metrics(pool):
         pool.complete(gid, instr.id, [codec.encode(0)])
     m = pool.metrics()
     assert set(m) == {"submitted", "emitted", "in_flight", "fireable",
-                      "live_graphs", "throughput_window"}
+                      "live_graphs"}
     assert m["submitted"] == 5 and m["emitted"] == 3
     assert m["submitted"] == m["emitted"] + m["live_graphs"]
+
+
+def _emit(pool, template, n):
+    for i in range(n):
+        pool.submit_task(template, codec.encode(i))
+        gid, instr = pool.fetch_fireable(0.1)
+        pool.complete(gid, instr.id, [codec.encode(i)])
+
+
+def test_throughput_counts_only_emissions_inside_the_window(pool):
+    t = compile_skeleton(Seq("f"))
+    _emit(pool, t, 7)
+    time.sleep(0.25)  # the first group falls out of a 0.2 s window
+    _emit(pool, t, 3)
+    assert pool.throughput(0.2) == pytest.approx(3 / 0.2)
+    assert pool.throughput(10.0) == pytest.approx(10 / 10.0)
+
+
+def test_retained_memory_per_emitted_task_is_small(fg_template):
+    """After quiescence the pool keeps one slotted ResultRecord per task,
+    whatever the number of instructions each task ran."""
+    pool = TaskPool()
+    runtime = Runtime(pool, default_registry())
+    runtime.recruit("local")
+    runtime.start()
+    try:
+        for i in range(200):  # warm-up: first-use allocations
+            pool.submit_task(fg_template, codec.encode(i))
+        assert pool.wait_quiescent(30)
+        tasks = 5000
+        payloads = [codec.encode(i) for i in range(tasks)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for p in payloads:
+                pool.submit_task(fg_template, p)
+            assert pool.wait_quiescent(60)
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+    finally:
+        runtime.shutdown()
+    retained = sum(d.size_diff for d in after.compare_to(before, "filename"))
+    assert len(pool.results) == 200 + tasks
+    assert retained / tasks <= 400, f"{retained / tasks:.0f} B retained per task"
 
 
 def test_pause_blocks_dispatch(pool):

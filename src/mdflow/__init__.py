@@ -15,7 +15,6 @@ from .core import (
     NoId,
     Opcode,
     OpcodeRegistry,
-    Token,
     canonical_renumber,
     dump,
     is_fireable,
@@ -53,7 +52,7 @@ from .ops import default_registry
 
 __all__ = [
     "OUT", "Dest", "MdfGraph", "MdfInstruction", "NoId", "Opcode",
-    "OpcodeRegistry", "Token", "canonical_renumber", "dump", "is_fireable",
+    "OpcodeRegistry", "canonical_renumber", "dump", "is_fireable",
     "make_instruction", "parse_dump", "store_token", "validate_graph",
     "Custom", "Farm", "Pipe", "Seq", "Skeleton", "build_map_graph",
     "compile_skeleton", "link_custom", "normalize", "parse_skeleton",

@@ -9,8 +9,8 @@ and a pipe wires stage one's output to stage two's input instruction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from .core import (
     OUT,
@@ -21,7 +21,6 @@ from .core import (
     MdfInstruction,
     NoId,
     OpcodeRegistry,
-    Token,
     chain_opcode,
     make_instruction,
     parse_dump,
@@ -138,7 +137,7 @@ def _splice_custom(g: MdfGraph, cont: Optional[int],
                 dests.append(Dest(NoId, mapping[d.instr_id], d.slot))
         instrs[mapping[old]] = MdfInstruction(
             mapping[old], NoId, instr.opcode,
-            [Token() for _ in range(instr.in_arity)], dests)
+            [None] * instr.in_arity, dests)
     return mapping[g.input_id]
 
 
@@ -172,7 +171,8 @@ def link_custom(g: MdfGraph, successor: Dest) -> MdfGraph:
     if not externals:
         raise NoExternalDest("graph has no external destination")
     iid, k = externals[0]
-    instrs = {i: instr.snapshot() for i, instr in g.instructions.items()}
+    instrs = {i: replace(instr, inputs=list(instr.inputs), dests=list(instr.dests))
+              for i, instr in g.instructions.items()}
     instrs[iid].dests[k] = successor
     linked = MdfGraph(instrs, g.input_id, gid=g.gid, provenance=g.provenance)
     violations = validate_graph(linked, require_output=successor.is_external)

@@ -1,20 +1,20 @@
-"""Macro data-flow substrate: tokens, destinations, instructions and graphs.
+"""Macro data-flow substrate: destinations, instructions and graphs.
 
-An instruction is a tuple <id, gid, opcode, inputs, dests>.  Input token
-slots are single-assignment: a slot goes absent -> present at most once.
-An instruction with all slots present is *fireable*.  A graph is a set of
-instructions with a designated input instruction and exactly one external
-output destination (the all-NoId Dest).
+An instruction is a tuple <id, gid, opcode, inputs, dests>.  Its inputs are
+single-assignment payload slots: a slot goes from None (absent) to bytes
+(present) at most once.  An instruction with all slots present is
+*fireable*.  A graph is a set of instructions with a designated input
+instruction and exactly one external output destination (the all-NoId
+Dest).
 
 Identifiers are positive integers; the NoId sentinel (None) marks template
-graph ids and the external output.
+graph ids, "this graph" in a Dest, and the external output.
 """
 from __future__ import annotations
 
-import copy
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from . import codec
@@ -69,8 +69,9 @@ class DumpFormatError(MdfError):
 class Dest:
     """Destination of an output token: (graph id, instruction id, token slot).
 
-    All three fields NoId means the external output stream.  Inside a
-    template, gid stays NoId and is stamped at instantiation time.
+    All three fields NoId means the external output stream.  Otherwise a
+    NoId gid means "this graph": instances share their template's Dests,
+    and the pool routes a token by the graph it came from.
     """
 
     gid: Ident = NoId
@@ -87,38 +88,17 @@ OUT = Dest()
 
 
 @dataclass
-class Token:
-    """Single-assignment value slot.  Payloads are always bytes, so the slot
-    is present exactly when its value is not None."""
-
-    value: Optional[bytes] = None
-
-    @property
-    def present(self) -> bool:
-        return self.value is not None
-
-
-@dataclass
 class MdfInstruction:
     id: int
     gid: Ident
     opcode: str
-    inputs: list[Token]
+    #: payload slots, None while absent
+    inputs: list[Optional[bytes]]
     dests: list[Dest]
 
     @property
     def in_arity(self) -> int:
         return len(self.inputs)
-
-    def snapshot(self) -> "MdfInstruction":
-        """Shallow-ish copy safe to hand to a worker (payload bytes are immutable)."""
-        return MdfInstruction(
-            self.id,
-            self.gid,
-            self.opcode,
-            [Token(t.value) for t in self.inputs],
-            list(self.dests),
-        )
 
 
 def make_instruction(id: int, gid: Ident, opcode: str, in_arity: int,
@@ -127,7 +107,7 @@ def make_instruction(id: int, gid: Ident, opcode: str, in_arity: int,
         raise ZeroArity(f"instruction {id}: in_arity must be >= 1, got {in_arity}")
     if not dests:
         raise EmptyDests(f"instruction {id}: at least one destination required")
-    return MdfInstruction(id, gid, opcode, [Token() for _ in range(in_arity)], list(dests))
+    return MdfInstruction(id, gid, opcode, [None] * in_arity, list(dests))
 
 
 def store_token(instr: MdfInstruction, slot: int, value: bytes) -> MdfInstruction:
@@ -136,15 +116,14 @@ def store_token(instr: MdfInstruction, slot: int, value: bytes) -> MdfInstructio
         raise SlotOutOfRange(f"instruction {instr.id}: slot {slot} of {instr.in_arity}")
     if value is None:
         raise MdfError(f"instruction {instr.id}: slot {slot} given no value")
-    token = instr.inputs[slot - 1]
-    if token.value is not None:
+    if instr.inputs[slot - 1] is not None:
         raise SlotOccupied(f"instruction {instr.id}: slot {slot} already present")
-    token.value = value
+    instr.inputs[slot - 1] = value
     return instr
 
 
 def is_fireable(instr: MdfInstruction) -> bool:
-    return all(t.value is not None for t in instr.inputs)
+    return None not in instr.inputs
 
 
 @dataclass
@@ -222,16 +201,11 @@ def validate_graph(g: MdfGraph, require_output: bool = True) -> list[str]:
 
 
 def instantiate(template: MdfGraph, gid: int) -> MdfGraph:
-    """Concrete copy of a template: stamp gid on instructions and internal Dests."""
-    instrs: dict[int, MdfInstruction] = {}
-    for iid, instr in template.instructions.items():
-        dests = [d if d.is_external else Dest(gid, d.instr_id, d.slot)
-                 for d in instr.dests]
-        instrs[iid] = MdfInstruction(
-            iid, gid, instr.opcode,
-            [Token(t.value) for t in instr.inputs],
-            dests,
-        )
+    """Instance of a template: each instruction gets the gid and fresh
+    payload slots, and shares the template's read-only dests list (its
+    internal Dests keep gid NoId, "this graph")."""
+    instrs = {iid: MdfInstruction(iid, gid, instr.opcode, list(instr.inputs), instr.dests)
+              for iid, instr in template.instructions.items()}
     return MdfGraph(instrs, template.input_id, gid=gid, provenance=template.provenance)
 
 
@@ -263,7 +237,7 @@ def canonical_renumber(g: MdfGraph, gid: int = 1) -> MdfGraph:
                  for d in instr.dests]
         instrs[mapping[old]] = MdfInstruction(
             mapping[old], gid, instr.opcode,
-            [Token(t.value) for t in instr.inputs],
+            list(instr.inputs),
             dests,
         )
     return MdfGraph(instrs, mapping[g.input_id], gid=gid, provenance=g.provenance)
@@ -284,7 +258,7 @@ def dump(g: MdfGraph) -> str:
     for iid in sorted(g.instructions):
         instr = g.instructions[iid]
         toks = ",".join(
-            repr(codec.decode(t.value)) if t.value is not None else "_" for t in instr.inputs
+            repr(codec.decode(v)) if v is not None else "_" for v in instr.inputs
         )
         dests = ",".join(
             "OUT" if d.is_external

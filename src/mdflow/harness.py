@@ -24,14 +24,13 @@ from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from . import codec
-from .compiler import Skeleton, compile_skeleton, normalize, parse_skeleton
+from .compiler import compile_skeleton, normalize, parse_skeleton
 from .core import MdfGraph, OpcodeRegistry
 from .manager import Contract, Manager, Throughput, parse_contract
 from .ops import default_registry
 from .oracle import eval_skeleton, eval_workflow
 from .runtime import Runtime, WorkerSpec
 from .taskpool import TaskPool
-from .workflow import WorkflowEngine, load_workflow
 
 EXIT_OK = 0
 EXIT_ESCALATED = 2

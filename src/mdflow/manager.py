@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from .core import MdfError
-from .runtime import Runtime, WorkerDescriptor, WorkerSpec
+from .runtime import Runtime, WorkerSpec
 from .taskpool import TaskPool
 
 

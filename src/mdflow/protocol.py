@@ -187,16 +187,20 @@ class WorkerClient:
                 raise RemoteFailure(f"connection lost or timeout: {exc}") from exc
         if ftype == RESULT:
             rid, outputs = decode_payload_list(body)
-            if rid != req_id:
-                raise ProtocolError(f"request id mismatch: {rid} != {req_id}")
-            return outputs
-        if ftype == FAIL:
+        elif ftype == FAIL:
+            if len(body) < 8:
+                raise ProtocolError("truncated FAIL")
             rid = _U64.unpack_from(body, 0)[0]
-            msg, _ = _unpack_bytes(body, 8)
-            raise RemoteFailure(msg.decode("utf-8", "replace"))
-        if ftype == ERROR:
+            message = _unpack_bytes(body, 8)[0].decode("utf-8", "replace")
+        elif ftype == ERROR:
             raise ProtocolError(body.decode("utf-8", "replace"))
-        raise ProtocolError(f"unexpected frame type {ftype}")
+        else:
+            raise ProtocolError(f"unexpected frame type {ftype}")
+        if rid != req_id:
+            raise ProtocolError(f"request id mismatch: {rid} != {req_id}")
+        if ftype == FAIL:
+            raise RemoteFailure(message)
+        return outputs
 
     def ping(self, timeout_s: float = 5.0) -> bool:
         with self._lock:
@@ -287,12 +291,9 @@ class WorkerServer:
             req_id, opcode, payloads = decode_exec(body)
             try:
                 outputs = self.registry.run_encoded(opcode, payloads)
-            except DETERMINISTIC_FAULTS as exc:
-                msg = (OPCODE_FAULT_PREFIX + str(exc)).encode("utf-8")
-                send_frame(conn, FAIL, _U64.pack(req_id) + _pack_bytes(msg))
-                return
             except Exception as exc:
-                msg = str(exc).encode("utf-8")
+                prefix = OPCODE_FAULT_PREFIX if isinstance(exc, DETERMINISTIC_FAULTS) else ""
+                msg = (prefix + str(exc)).encode("utf-8")
                 send_frame(conn, FAIL, _U64.pack(req_id) + _pack_bytes(msg))
                 return
             send_frame(conn, RESULT, encode_payload_list(req_id, outputs))

@@ -15,7 +15,7 @@ import statistics
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .core import (
@@ -26,7 +26,7 @@ from .core import (
     OpcodeRegistry,
     manifest_supports,
 )
-from .protocol import OPCODE_FAULT_PREFIX, ProtocolError, RemoteFailure, WorkerClient
+from .protocol import OPCODE_FAULT_PREFIX, RemoteFailure, WorkerClient
 from .taskpool import NotInFlight, TaskPool
 
 WorkerSpec = Union[str, tuple[str, int]]
@@ -80,7 +80,7 @@ class LocalExecutor:
 
     def execute(self, desc: WorkerDescriptor, instr: MdfInstruction) -> list[bytes]:
         outputs = self.registry.run_encoded(
-            instr.opcode, [t.value for t in instr.inputs], desc.slowdown)
+            instr.opcode, instr.inputs, desc.slowdown)
         if desc._killed.is_set():
             raise WorkerKilled(f"worker {desc.wid} died mid-instruction")
         return outputs
@@ -120,7 +120,7 @@ class RemoteExecutor:
         t0 = time.monotonic()
         try:
             outputs = self.client.execute(
-                instr.opcode, [t.value for t in instr.inputs], self._deadline())
+                instr.opcode, instr.inputs, self._deadline())
         except RemoteFailure as exc:
             if str(exc).startswith(OPCODE_FAULT_PREFIX):
                 raise OpcodeError(str(exc)[len(OPCODE_FAULT_PREFIX):]) from exc

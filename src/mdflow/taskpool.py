@@ -20,13 +20,15 @@ from typing import Any, Callable, Optional
 
 from . import codec
 from .core import (
+    OUT,
+    Dest,
     MdfError,
     MdfGraph,
     MdfInstruction,
     instantiate,
     is_fireable,
+    make_instruction,
     store_token,
-    Dest,
 )
 
 # Instruction states in a live graph's record; an instruction with no state
@@ -110,16 +112,13 @@ class TaskPool:
             return self._register(graph, instr)
 
     def submit_call(self, opcode: str, payloads: list[bytes],
-                    dests: Optional[list[Dest]] = None,
                     on_emit: Optional[Callable[[ResultRecord], None]] = None) -> int:
         """Submit an already-fireable single-instruction graph (the workflow
         matching unit path).  `on_emit` receives the graph's ResultRecord,
         under the pool lock, before the sinks do."""
-        from .core import make_instruction, OUT
-
         with self._cond:
             gid = next(self._gids)
-            instr = make_instruction(1, gid, opcode, len(payloads), dests or [OUT])
+            instr = make_instruction(1, gid, opcode, len(payloads), [OUT])
             for slot, p in enumerate(payloads, start=1):
                 store_token(instr, slot, p)
             return self._register(MdfGraph({1: instr}, 1, gid=gid), instr, on_emit)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from . import codec
-from .core import ArityMismatch, MdfError, OpcodeRegistry, UnknownOpcode
+from .core import ArityMismatch, MdfError, OpcodeRegistry
 from .taskpool import ResultRecord, TaskPool
 
 
@@ -52,21 +52,13 @@ class Future:
             raise self._error
         return self._value
 
-    def _complete(self, value: Any) -> None:
+    def _settle(self, value: Any, error: Optional[Exception] = None) -> None:
+        """Make the future ready with a value, or with an error when one is
+        given; the first settle wins and later ones are ignored."""
         with self._lock:
             if self._event.is_set():
                 return
-            self._value = value
-            self._event.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(self)
-
-    def _fail(self, error: Exception) -> None:
-        with self._lock:
-            if self._event.is_set():
-                return
-            self._error = error
+            self._value, self._error = value, error
             self._event.set()
             callbacks, self._callbacks = self._callbacks, []
         for cb in callbacks:
@@ -85,12 +77,12 @@ class Future:
 
         def propagate(parent: "Future") -> None:
             if parent._error is not None:
-                child._fail(UpstreamFailed(str(parent._error)))
+                child._settle(None, UpstreamFailed(str(parent._error)))
                 return
             try:
-                child._complete(parent._value[index])
+                child._settle(parent._value[index])
             except (TypeError, IndexError, KeyError) as exc:
-                child._fail(UpstreamFailed(f"part {index}: {exc}"))
+                child._settle(None, UpstreamFailed(f"part {index}: {exc}"))
 
         self._on_done(propagate)
         return child
@@ -121,9 +113,9 @@ class WorkflowEngine:
 
         def on_emit(record: ResultRecord) -> None:
             if record.error is not None:
-                result._fail(UpstreamFailed(record.error))
+                result._settle(None, UpstreamFailed(record.error))
             else:
-                result._complete(codec.decode(record.value))
+                result._settle(codec.decode(record.value))
 
         def try_dispatch() -> None:
             # the graph carries on_emit from birth: no completion can miss it
@@ -133,7 +125,7 @@ class WorkflowEngine:
         def on_dep_done(i: int, dep: Future) -> None:
             if dep._error is not None:
                 # a failed dependency never counts down, so nothing dispatches
-                result._fail(UpstreamFailed(str(dep._error)))
+                result._settle(None, UpstreamFailed(str(dep._error)))
                 return
             resolved[i] = dep._value
             with state_lock:

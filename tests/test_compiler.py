@@ -74,7 +74,7 @@ def test_compile_instruction_count_equals_seq_leaves():
 
 def test_compiled_templates_have_absent_tokens():
     g = compile_skeleton(Pipe(Seq("f"), Seq("g")))
-    assert all(not t.present for i in g.instructions.values() for t in i.inputs)
+    assert all(v is None for i in g.instructions.values() for v in i.inputs)
 
 
 @settings(max_examples=60, deadline=None)

@@ -21,6 +21,7 @@ from mdflow.core import (
     canonical_renumber,
     chain_opcode,
     dump,
+    instantiate,
     is_fireable,
     make_instruction,
     manifest_supports,
@@ -43,7 +44,7 @@ def fg_graph() -> MdfGraph:
 def test_make_instruction_all_tokens_absent():
     instr = make_instruction(2, 1, "g", 1, [OUT])
     assert instr.id == 2 and instr.gid == 1 and instr.opcode == "g"
-    assert [t.present for t in instr.inputs] == [False]
+    assert instr.inputs == [None]
     assert instr.dests == [OUT]
 
 
@@ -70,7 +71,7 @@ def test_store_token_completes_partially_filled_instruction():
     store_token(instr, 1, codec.encode(123))
     assert not is_fireable(instr)
     store_token(instr, 2, codec.encode(7))
-    assert all(t.present for t in instr.inputs)
+    assert all(v is not None for v in instr.inputs)
     assert is_fireable(instr)
 
 
@@ -100,12 +101,28 @@ def test_store_token_rejects_none():
     instr = make_instruction(1, 1, "f", 1, [OUT])
     with pytest.raises(MdfError):
         store_token(instr, 1, None)
-    assert not instr.inputs[0].present
+    assert instr.inputs[0] is None
 
 
 def test_is_fireable_zero_of_two():
     instr = make_instruction(1, 1, "add2", 2, [OUT])
     assert not is_fireable(instr)
+
+
+# -- instantiate --------------------------------------------------------------
+
+def test_instantiate_gives_each_instance_its_gid_and_own_slots():
+    template = MdfGraph({1: make_instruction(1, NoId, "f", 1, [Dest(NoId, 2, 1)]),
+                         2: make_instruction(2, NoId, "add2", 2, [OUT])}, input_id=1)
+    a, b = instantiate(template, 7), instantiate(template, 8)
+    for instance, gid in ((a, 7), (b, 8)):
+        assert instance.gid == gid and instance.input_id == 1
+        assert all(i.gid == gid for i in instance.instructions.values())
+        assert all(instance.instructions[iid].dests == t.dests
+                   for iid, t in template.instructions.items())
+    store_token(a.instructions[2], 1, codec.encode(1))
+    assert b.instructions[2].inputs == [None, None]
+    assert template.instructions[2].inputs == [None, None]
 
 
 @given(st.permutations(list(range(1, 5))))

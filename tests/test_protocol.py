@@ -1,6 +1,7 @@
 """Wire protocol: handshake, EXEC round trips, failure frames, daemon."""
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -10,13 +11,17 @@ from mdflow.compiler import Seq, compile_skeleton
 from mdflow.ops import default_registry
 from mdflow.protocol import (
     ERROR,
+    EXEC,
+    FAIL,
     HELLO,
     OPCODE_FAULT_PREFIX,
     PROTO_VERSION,
+    READY,
     ProtocolError,
     RemoteFailure,
     WorkerClient,
     WorkerServer,
+    encode_manifest,
     recv_frame,
     send_frame,
 )
@@ -106,6 +111,35 @@ def test_opcode_fault_is_marked(server):
         client.execute("boom", [codec.encode(1)], 5.0)
     assert str(exc_info.value).startswith(OPCODE_FAULT_PREFIX)
     client.close()
+
+
+def test_malformed_fail_frames_are_protocol_errors():
+    listener = socket.create_server(("127.0.0.1", 0))
+    message = b"worker-side failure"
+    fail_bodies = [b"\x01\x00\x00",  # shorter than a request id
+                   struct.pack("<QI", 999, len(message)) + message]  # another request's id
+
+    def fake_daemon():
+        conn, _ = listener.accept()
+        with conn:
+            recv_frame(conn)  # HELLO
+            send_frame(conn, READY, encode_manifest([]))
+            for body in fail_bodies:
+                assert recv_frame(conn)[0] == EXEC
+                send_frame(conn, FAIL, body)
+
+    daemon = threading.Thread(target=fake_daemon, daemon=True)
+    daemon.start()
+    client = WorkerClient(*listener.getsockname())
+    try:
+        for _ in fail_bodies:
+            with pytest.raises(ProtocolError):
+                client.execute("echo", [codec.encode(1)], 5.0)
+    finally:
+        client.close()
+        daemon.join(5.0)
+        listener.close()
+    assert not daemon.is_alive()
 
 
 def test_execute_deadline(server):

@@ -194,7 +194,7 @@ def test_future_hears_completion_that_beats_submit_call_return():
         # the graph is fetched, executed and emitted before submit_call returns
         gid = submit_call(*args, **kwargs)
         got, instr = pool.fetch_fireable(0.1)
-        outputs = reg.run_encoded(instr.opcode, [t.value for t in instr.inputs])
+        outputs = reg.run_encoded(instr.opcode, instr.inputs)
         pool.complete(got, instr.id, outputs)
         return gid
 

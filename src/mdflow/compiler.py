@@ -71,18 +71,6 @@ class Custom(Skeleton):
     graph: MdfGraph
 
 
-def describe(s: Skeleton) -> str:
-    if isinstance(s, Seq):
-        return f"seq:{s.opcode}"
-    if isinstance(s, Pipe):
-        return f"pipe({describe(s.first)},{describe(s.second)})"
-    if isinstance(s, Farm):
-        return f"farm({describe(s.worker)})"
-    if isinstance(s, Custom):
-        return f"custom[{len(s.graph.instructions)}]"
-    raise TypeError(f"not a skeleton: {s!r}")
-
-
 def compile_skeleton(s: Skeleton) -> MdfGraph:
     """Compile a skeleton tree into a validated graph template.
 
@@ -93,7 +81,7 @@ def compile_skeleton(s: Skeleton) -> MdfGraph:
     counter = itertools.count(1)
     instrs: dict[int, MdfInstruction] = {}
     input_id = _emit(s, None, instrs, counter)
-    g = MdfGraph(instrs, input_id, gid=NoId, provenance=describe(s))
+    g = MdfGraph(instrs, input_id, gid=NoId)
     violations = validate_graph(g)
     if violations:
         # only reachable through a broken Custom graph slipping past checks
@@ -174,7 +162,7 @@ def link_custom(g: MdfGraph, successor: Dest) -> MdfGraph:
     instrs = {i: replace(instr, inputs=list(instr.inputs), dests=list(instr.dests))
               for i, instr in g.instructions.items()}
     instrs[iid].dests[k] = successor
-    linked = MdfGraph(instrs, g.input_id, gid=g.gid, provenance=g.provenance)
+    linked = MdfGraph(instrs, g.input_id, gid=g.gid)
     violations = validate_graph(linked, require_output=successor.is_external)
     violations = [v for v in violations
                   if not (v.startswith(("DanglingDest", "ForeignDest")) and not successor.is_external)]
@@ -206,7 +194,7 @@ def build_map_graph(split: str, worker: str, merge: str, parts: int,
     for slot, wid in enumerate(worker_ids, start=1):
         instrs[wid] = make_instruction(wid, NoId, worker, 1, [Dest(NoId, merge_id, slot)])
     instrs[merge_id] = make_instruction(merge_id, NoId, merge, parts, [OUT])
-    g = MdfGraph(instrs, 1, gid=NoId, provenance=f"map({split},{worker},{merge},{parts})")
+    g = MdfGraph(instrs, 1, gid=NoId)
     violations = validate_graph(g)
     if violations:
         raise InvalidCustomGraph(str(violations))

@@ -131,14 +131,11 @@ class MdfGraph:
     """A set of instructions keyed by id, with a designated input instruction.
 
     gid is NoId for templates and a concrete integer after instantiation.
-    provenance is a free-form note recording which skeleton produced the
-    template, if any.
     """
 
     instructions: dict[int, MdfInstruction]
     input_id: int
     gid: Ident = NoId
-    provenance: Optional[str] = None
 
     def external_dests(self) -> list[tuple[int, int]]:
         """(instruction id, dest index) pairs of external-output Dests."""
@@ -206,7 +203,7 @@ def instantiate(template: MdfGraph, gid: int) -> MdfGraph:
     internal Dests keep gid NoId, "this graph")."""
     instrs = {iid: MdfInstruction(iid, gid, instr.opcode, list(instr.inputs), instr.dests)
               for iid, instr in template.instructions.items()}
-    return MdfGraph(instrs, template.input_id, gid=gid, provenance=template.provenance)
+    return MdfGraph(instrs, template.input_id, gid=gid)
 
 
 def canonical_renumber(g: MdfGraph, gid: int = 1) -> MdfGraph:
@@ -240,7 +237,7 @@ def canonical_renumber(g: MdfGraph, gid: int = 1) -> MdfGraph:
             list(instr.inputs),
             dests,
         )
-    return MdfGraph(instrs, mapping[g.input_id], gid=gid, provenance=g.provenance)
+    return MdfGraph(instrs, mapping[g.input_id], gid=gid)
 
 
 def _fmt_ident(x: Ident) -> str:

@@ -147,8 +147,8 @@ def parse_contract(text: str) -> Contract:
 @dataclass(frozen=True)
 class Plan:
     """An ordered action list plus a forecast over a subset of the contract
-    variables.  Actions are ("add_worker", k), ("remove_worker", k) or
-    ("rebind", 0)."""
+    variables.  Actions are ("add_worker", k) and ("remove_worker", k); any
+    other action, such as ("rebind", 0), is logged as an event of its name."""
 
     name: str
     actions: tuple[tuple[str, int], ...]
@@ -184,14 +184,6 @@ class EscalationEvent:
     bindings: dict[str, Any]
     verdicts: list[tuple[str, bool]]
     ts: float
-
-
-_HARMONIZERS: dict[str, Callable[[Sequence[float]], float]] = {
-    "average": lambda xs: sum(xs) / len(xs),
-    "sum": sum,
-    "max": max,
-    "min": min,
-}
 
 
 class EventLog:
@@ -246,36 +238,27 @@ class Manager:
         self._reconfig_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._measures: dict[str, tuple[Callable[[], Sequence[float]], str]] = {}
-        self.register_measure("throughput",
-                              lambda: [self.pool.throughput(self.window_s)], "average")
-        self.register_measure("workers",
-                              lambda: [float(self.runtime.active_count())], "average")
-        self.register_measure("pending",
-                              lambda: [float(self.pool.pending_count())], "average")
+        self._measures: dict[str, Callable[[], Sequence[float]]] = {}
+        self.register_measure("throughput", lambda: [self.pool.throughput(self.window_s)])
+        self.register_measure("workers", lambda: [float(self.runtime.active_count())])
+        self.register_measure("pending", lambda: [float(self.pool.pending_count())])
 
     # -- measures -----------------------------------------------------------
 
-    def register_measure(self, name: str,
-                         collector: Callable[[], Sequence[float]],
-                         harmonize: str = "average") -> None:
-        if harmonize not in _HARMONIZERS:
-            raise ValueError(f"unknown harmonization {harmonize!r}")
-        self._measures[name] = (collector, harmonize)
+    def register_measure(self, name: str, collector: Callable[[], Sequence[float]]) -> None:
+        self._measures[name] = collector
 
     def get_measure(self, name: str) -> float:
-        """Harmonized current value of a measure (worker samples plus
-        runtime-level samples over the window)."""
+        """Current value of a measure: the average of its collector's samples."""
         if name not in self._measures:
             raise SensorUnavailable(name)
-        collector, harmonize = self._measures[name]
         try:
-            samples = list(collector())
+            samples = list(self._measures[name]())
         except Exception as exc:
             raise SensorUnavailable(f"{name}: {exc}") from exc
         if not samples:
             raise SensorUnavailable(f"{name}: no samples")
-        return _HARMONIZERS[harmonize](samples)
+        return sum(samples) / len(samples)
 
     # -- contract -----------------------------------------------------------
 
@@ -440,10 +423,8 @@ class Manager:
                     self.add_worker(k)
                 elif action == "remove_worker":
                     self.remove_worker(k)
-                elif action == "rebind":
-                    self.events.append("rebind", {})
                 else:
-                    self.events.append("unknown_action", action)
+                    self.events.append(action, {})
             except (RecruitmentFailed, WouldEmptyPool) as exc:
                 self.events.append("action_failed", {"action": action, "error": str(exc)})
 

@@ -6,10 +6,11 @@ byte strings with 32-bit length prefixes.
 
     HELLO{proto_version}        -> READY{manifest: (name, in_arity, out_arity)*}
     EXEC{req_id, opcode, args*} -> RESULT{req_id, outputs*} | FAIL{req_id, message}
-    PING                        -> PONG
 
-Protocol version 1.  A version mismatch or malformed frame gets an ERROR
-frame and the connection is closed.
+A FAIL message starting with OPCODE_FAULT_PREFIX is an opcode fault, which
+the client raises as OpcodeError.  Protocol version 1.  A version mismatch
+or malformed frame (a non-UTF-8 name included) gets an ERROR frame and the
+connection is closed.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import struct
 import threading
 from typing import Optional
 
-from .core import DETERMINISTIC_FAULTS, MdfError, OpcodeRegistry
+from .core import DETERMINISTIC_FAULTS, MdfError, OpcodeError, OpcodeRegistry
 
 #: FAIL-message prefix marking a deterministic opcode fault (as opposed to a
 #: worker-side infrastructure failure); such faults must not be retried.
@@ -31,8 +32,6 @@ READY = 2
 EXEC = 3
 RESULT = 4
 FAIL = 5
-PING = 6
-PONG = 7
 ERROR = 8
 
 _U32 = struct.Struct("<I")
@@ -89,6 +88,13 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
+def _decode_name(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"name is not UTF-8: {raw[:16]!r}") from exc
+
+
 def encode_manifest(manifest: list[tuple[str, int, int]]) -> bytes:
     out = bytearray(_U32.pack(len(manifest)))
     for name, in_ar, out_ar in manifest:
@@ -109,58 +115,58 @@ def decode_manifest(body: bytes) -> list[tuple[str, int, int]]:
             raise ProtocolError("truncated manifest entry")
         in_ar, out_ar = _U32.unpack_from(body, pos)[0], _U32.unpack_from(body, pos + 4)[0]
         pos += 8
-        manifest.append((name.decode("utf-8"), in_ar, out_ar))
+        manifest.append((_decode_name(name), in_ar, out_ar))
     return manifest
 
 
-def encode_exec(req_id: int, opcode: str, payloads: list[bytes]) -> bytes:
-    out = bytearray(_U64.pack(req_id))
-    out += _pack_bytes(opcode.encode("utf-8"))
+def _pack_payloads(head: bytes, payloads: list[bytes]) -> bytes:
+    """`head`, then the payload list of an EXEC or RESULT body."""
+    out = bytearray(head)
     out += _U32.pack(len(payloads))
     for p in payloads:
         out += _pack_bytes(p)
     return bytes(out)
 
 
-def decode_exec(body: bytes) -> tuple[int, str, list[bytes]]:
-    if len(body) < 8:
-        raise ProtocolError("truncated EXEC")
-    req_id = _U64.unpack_from(body, 0)[0]
-    name, pos = _unpack_bytes(body, 8)
+def _unpack_payloads(body: bytes, pos: int) -> list[bytes]:
     if pos + 4 > len(body):
-        raise ProtocolError("truncated EXEC payload count")
+        raise ProtocolError("truncated payload count")
     count = _U32.unpack_from(body, pos)[0]
     pos += 4
     payloads = []
     for _ in range(count):
         p, pos = _unpack_bytes(body, pos)
         payloads.append(p)
-    return req_id, name.decode("utf-8"), payloads
+    return payloads
+
+
+def encode_exec(req_id: int, opcode: str, payloads: list[bytes]) -> bytes:
+    return _pack_payloads(_U64.pack(req_id) + _pack_bytes(opcode.encode("utf-8")), payloads)
+
+
+def decode_exec(body: bytes) -> tuple[int, str, list[bytes]]:
+    if len(body) < 8:
+        raise ProtocolError("truncated EXEC")
+    name, pos = _unpack_bytes(body, 8)
+    return _U64.unpack_from(body, 0)[0], _decode_name(name), _unpack_payloads(body, pos)
 
 
 def encode_payload_list(req_id: int, payloads: list[bytes]) -> bytes:
-    out = bytearray(_U64.pack(req_id))
-    out += _U32.pack(len(payloads))
-    for p in payloads:
-        out += _pack_bytes(p)
-    return bytes(out)
+    return _pack_payloads(_U64.pack(req_id), payloads)
 
 
 def decode_payload_list(body: bytes) -> tuple[int, list[bytes]]:
-    if len(body) < 12:
+    if len(body) < 8:
         raise ProtocolError("truncated frame")
-    req_id = _U64.unpack_from(body, 0)[0]
-    count = _U32.unpack_from(body, 8)[0]
-    pos = 12
-    payloads = []
-    for _ in range(count):
-        p, pos = _unpack_bytes(body, pos)
-        payloads.append(p)
-    return req_id, payloads
+    return _U64.unpack_from(body, 0)[0], _unpack_payloads(body, 8)
 
 
 class WorkerClient:
-    """Client side of the protocol: handshake, EXEC round trips, PING."""
+    """Client side of the protocol: handshake and EXEC round trips.
+
+    `execute` raises OpcodeError for an opcode fault, RemoteFailure for any
+    other worker-side failure, a timeout or a lost connection, and
+    ProtocolError for a malformed or mismatched reply."""
 
     def __init__(self, host: str, port: int, connect_timeout: float = 5.0) -> None:
         self.sock = socket.create_connection((host, port), timeout=connect_timeout)
@@ -199,18 +205,10 @@ class WorkerClient:
         if rid != req_id:
             raise ProtocolError(f"request id mismatch: {rid} != {req_id}")
         if ftype == FAIL:
+            if message.startswith(OPCODE_FAULT_PREFIX):
+                raise OpcodeError(message[len(OPCODE_FAULT_PREFIX):])
             raise RemoteFailure(message)
         return outputs
-
-    def ping(self, timeout_s: float = 5.0) -> bool:
-        with self._lock:
-            try:
-                self.sock.settimeout(timeout_s)
-                send_frame(self.sock, PING)
-                ftype, _ = recv_frame(self.sock)
-            except (OSError, ConnectionError):
-                return False
-        return ftype == PONG
 
     def close(self) -> None:
         try:
@@ -297,7 +295,5 @@ class WorkerServer:
                 send_frame(conn, FAIL, _U64.pack(req_id) + _pack_bytes(msg))
                 return
             send_frame(conn, RESULT, encode_payload_list(req_id, outputs))
-        elif ftype == PING:
-            send_frame(conn, PONG)
         else:
             raise ProtocolError(f"unexpected frame type {ftype}")

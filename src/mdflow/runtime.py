@@ -22,11 +22,10 @@ from .core import (
     DETERMINISTIC_FAULTS,
     MdfError,
     MdfInstruction,
-    OpcodeError,
     OpcodeRegistry,
     manifest_supports,
 )
-from .protocol import OPCODE_FAULT_PREFIX, RemoteFailure, WorkerClient
+from .protocol import WorkerClient
 from .taskpool import NotInFlight, TaskPool
 
 WorkerSpec = Union[str, tuple[str, int]]
@@ -73,8 +72,6 @@ class LocalExecutor:
     """In-process executor; the opcode's synthetic cost is scaled by the
     descriptor's slowdown factor."""
 
-    kind = "local"
-
     def __init__(self, registry: OpcodeRegistry) -> None:
         self.registry = registry
 
@@ -93,10 +90,9 @@ class RemoteExecutor:
     """Executor backed by a remote worker daemon over the wire protocol.
 
     The per-dispatch deadline is max(REMOTE_DEADLINE_S, 8 x rolling mean
-    instruction duration); transport loss surfaces as RemoteFailure.
+    instruction duration); transport loss surfaces as RemoteFailure and an
+    opcode fault as OpcodeError.
     """
-
-    kind = "remote"
 
     def __init__(self, host: str, port: int) -> None:
         try:
@@ -118,13 +114,7 @@ class RemoteExecutor:
         if desc._killed.is_set():
             raise WorkerKilled(f"worker {desc.wid} died mid-instruction")
         t0 = time.monotonic()
-        try:
-            outputs = self.client.execute(
-                instr.opcode, instr.inputs, self._deadline())
-        except RemoteFailure as exc:
-            if str(exc).startswith(OPCODE_FAULT_PREFIX):
-                raise OpcodeError(str(exc)[len(OPCODE_FAULT_PREFIX):]) from exc
-            raise
+        outputs = self.client.execute(instr.opcode, instr.inputs, self._deadline())
         self._durations.append(time.monotonic() - t0)
         return outputs
 
@@ -179,19 +169,17 @@ class Runtime:
     def start_worker(self, desc: WorkerDescriptor) -> None:
         if desc.state != "idle":
             raise BadState(f"worker {desc.wid} is {desc.state}")
-        if desc._thread is not None and desc._thread.is_alive():
-            return
-        desc._stop.clear()
         desc._thread = threading.Thread(target=self._control_loop, args=(desc,),
                                         daemon=True, name=f"mdflow-ctl-{desc.wid}")
         desc._thread.start()
 
     def start(self) -> None:
+        """Start every recruited worker that has not been started yet."""
         with self._lock:
-            descs = [d for d in self.workers.values() if d.state == "idle"]
+            descs = [d for d in self.workers.values()
+                     if d.state == "idle" and d._thread is None]
         for desc in descs:
-            if desc._thread is None or not desc._thread.is_alive():
-                self.start_worker(desc)
+            self.start_worker(desc)
 
     def stop_worker(self, desc: WorkerDescriptor, timeout: float = 30.0) -> None:
         """Drain: finish the in-flight instruction, then idle out of rotation."""
@@ -202,12 +190,6 @@ class Runtime:
             desc._thread.join(timeout=timeout)
         if desc.state != "failed":
             desc.state = "stopped"
-
-    def restart_worker(self, desc: WorkerDescriptor) -> None:
-        if desc.state != "stopped":
-            raise BadState(f"worker {desc.wid} is {desc.state}, not stopped")
-        desc.state = "idle"
-        self.start_worker(desc)
 
     def kill_worker(self, desc: WorkerDescriptor) -> None:
         """Simulate sudden worker death: the current (or next) instruction
@@ -267,7 +249,11 @@ class Runtime:
                     pool.requeue(gid, instr.id)
                 self._fail(desc, exc)
                 return
-            pool.complete(gid, instr.id, outputs)
+            try:
+                pool.complete(gid, instr.id, outputs)
+            except MdfError as exc:
+                # a wiring fault in the graph: fail the graph, keep the worker
+                pool.fail_graph(gid, str(exc))
             desc.completed += 1
             desc.busy_ms += (time.monotonic() - t0) * 1000.0
             desc.state = "idle"

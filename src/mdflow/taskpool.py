@@ -145,22 +145,16 @@ class TaskPool:
 
     # -- token routing ------------------------------------------------------
 
-    def deliver_token(self, gid: int, dest: Dest, value: Optional[bytes],
-                      producer: Optional[int] = None, error: Optional[str] = None) -> None:
+    def _deliver(self, gid: int, dest: Dest, value: bytes, producer: int) -> None:
         """Route one token: external Dest emits a ResultRecord and retires the
         graph; an internal Dest stores the token and may make its target
         fireable.  `producer` is the instruction that computed the value (used
         for dispatch timing on emission)."""
-        with self._cond:
-            self._deliver(gid, dest, value, producer, error)
-
-    def _deliver(self, gid: int, dest: Dest, value: Optional[bytes],
-                 producer: Optional[int], error: Optional[str] = None) -> None:
         live = self._graphs.get(gid)
         if live is None:
             raise UnknownGraph(f"graph {gid} is not live")
         if dest.is_external:
-            self._retire(gid, value, producer, error)
+            self._retire(gid, value, producer)
             return
         instr = live.graph.instructions.get(dest.instr_id)
         if instr is None:
@@ -204,7 +198,7 @@ class TaskPool:
                 # token carries the whole output vector
                 outputs = [codec.encode([codec.decode(o) for o in outputs])]
             for dest, value in zip(dests, outputs):
-                self._deliver(gid, dest, value, producer=iid)
+                self._deliver(gid, dest, value, iid)
             return True
 
     def fail_graph(self, gid: int, message: str) -> None:

@@ -8,7 +8,6 @@ dependency, so no control flow blocks while waiting.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import threading
 from dataclasses import dataclass
@@ -34,8 +33,7 @@ class WorkflowFileError(MdfError):
 class Future:
     """Placeholder for an asynchronous result: pending -> ready exactly once."""
 
-    def __init__(self, seq: Optional[int] = None) -> None:
-        self.seq = seq
+    def __init__(self) -> None:
         self._event = threading.Event()
         self._lock = threading.Lock()
         self._value: Any = None
@@ -73,7 +71,7 @@ class Future:
 
     def part(self, index: int) -> "Future":
         """Derived future addressing one component of a multi-output result."""
-        child = Future(seq=self.seq)
+        child = Future()
 
         def propagate(parent: "Future") -> None:
             if parent._error is not None:
@@ -94,7 +92,6 @@ class WorkflowEngine:
     def __init__(self, pool: TaskPool, registry: OpcodeRegistry) -> None:
         self.pool = pool
         self.registry = registry
-        self._seq = itertools.count()
 
     def submit(self, opcode: str, args: Sequence[Any]) -> Future:
         """Submit a computation whose args may be payloads or Futures.
@@ -104,7 +101,7 @@ class WorkflowEngine:
         op = self.registry.resolve(opcode)  # raises UnknownOpcode
         if len(args) != op.in_arity:
             raise ArityMismatch(f"{opcode}: expected {op.in_arity} args, got {len(args)}")
-        result = Future(seq=next(self._seq))
+        result = Future()
         resolved: list[Any] = list(args)
         pending: list[tuple[int, Future]] = [
             (i, a) for i, a in enumerate(args) if isinstance(a, Future)]

@@ -86,10 +86,8 @@ def test_set_contract_unmonitorable_variable():
 
 def test_get_measure_harmonization():
     mgr, runtime, _ = make_manager(start=False)
-    mgr.register_measure("load", lambda: [0.4, 0.4, 0.4], "average")
+    mgr.register_measure("load", lambda: [0.4, 0.4, 0.4])
     assert mgr.get_measure("load") == pytest.approx(0.4)
-    mgr.register_measure("peak", lambda: [1.0, 3.0], "max")
-    assert mgr.get_measure("peak") == 3.0
     runtime.shutdown()
 
 

@@ -8,13 +8,13 @@ import pytest
 
 from mdflow import codec
 from mdflow.compiler import Seq, compile_skeleton
+from mdflow.core import OpcodeError
 from mdflow.ops import default_registry
 from mdflow.protocol import (
     ERROR,
     EXEC,
     FAIL,
     HELLO,
-    OPCODE_FAULT_PREFIX,
     PROTO_VERSION,
     READY,
     ProtocolError,
@@ -73,12 +73,6 @@ def test_daemon_charges_opcode_cost():
         srv.stop()
 
 
-def test_ping_pong(server):
-    client = WorkerClient(server.host, server.port)
-    assert client.ping()
-    client.close()
-
-
 def test_version_mismatch_rejected(server):
     sock = socket.create_connection((server.host, server.port), timeout=5)
     send_frame(sock, HELLO, struct.pack("<I", PROTO_VERSION + 1))
@@ -98,18 +92,32 @@ def test_malformed_frame_gets_error_and_close(server):
     sock.close()
 
 
+def test_non_utf8_opcode_name_gets_error_frame(server):
+    sock = socket.create_connection((server.host, server.port), timeout=5)
+    send_frame(sock, HELLO, struct.pack("<I", PROTO_VERSION))
+    assert recv_frame(sock)[0] == READY
+    name = b"\xff\xfe"
+    send_frame(sock, EXEC, struct.pack("<QI", 1, len(name)) + name + struct.pack("<I", 0))
+    assert recv_frame(sock)[0] == ERROR
+    assert sock.recv(1) == b""
+    sock.close()
+    client = WorkerClient(server.host, server.port)  # the daemon still serves
+    assert client.execute("inc", [codec.encode(1)], 5.0) == [codec.encode(2)]
+    client.close()
+
+
 def test_unknown_opcode_fails_request(server):
     client = WorkerClient(server.host, server.port)
-    with pytest.raises(RemoteFailure):
+    with pytest.raises(OpcodeError):
         client.execute("nonexistent", [codec.encode(1)], 5.0)
     client.close()
 
 
 def test_opcode_fault_is_marked(server):
     client = WorkerClient(server.host, server.port)
-    with pytest.raises(RemoteFailure) as exc_info:
+    with pytest.raises(OpcodeError) as exc_info:
         client.execute("boom", [codec.encode(1)], 5.0)
-    assert str(exc_info.value).startswith(OPCODE_FAULT_PREFIX)
+    assert str(exc_info.value).startswith("boom:")
     client.close()
 
 
@@ -213,6 +221,7 @@ def test_two_daemons_one_host():
     b = WorkerServer(reg).start()
     assert a.port != b.port
     ca, cb = WorkerClient(a.host, a.port), WorkerClient(b.host, b.port)
-    assert ca.ping() and cb.ping()
+    for client in (ca, cb):
+        assert client.execute("inc", [codec.encode(1)], 5.0) == [codec.encode(2)]
     ca.close(); cb.close()
     a.stop(); b.stop()

@@ -1,11 +1,11 @@
-"""Worker control loops: scheduling, balance, faults, stop/restart."""
+"""Worker control loops: scheduling, balance, faults, stop."""
 import time
 
 import pytest
 
 from mdflow import codec
 from mdflow.compiler import Farm, Seq, compile_skeleton
-from mdflow.core import parse_dump
+from mdflow.core import parse_dump, validate_graph
 from mdflow.ops import default_registry
 from mdflow.oracle import eval_skeleton
 from mdflow.runtime import BadState, Runtime, Unreachable
@@ -83,22 +83,8 @@ def test_stop_worker_drains_then_idles():
     runtime.shutdown()
 
 
-def test_restart_stopped_worker():
-    pool, runtime, descs, _ = make_runtime(1)
-    runtime.stop_worker(descs[0])
-    assert descs[0].state == "stopped"
-    runtime.restart_worker(descs[0])
-    t = compile_skeleton(Seq("inc"))
-    pool.submit_task(t, codec.encode(41))
-    assert pool.wait_quiescent(5)
-    assert codec.decode(pool.results[0].value) == 42
-    runtime.shutdown()
-
-
 def test_restart_requires_stopped_state():
     pool, runtime, descs, _ = make_runtime(1)
-    with pytest.raises(BadState):
-        runtime.restart_worker(descs[0])  # running, not stopped
     runtime.kill_worker(descs[0])
     t = compile_skeleton(Seq("inc"))
     pool.submit_task(t, codec.encode(1))
@@ -158,6 +144,25 @@ def test_output_count_mismatch_fails_graph_not_worker():
     assert len(pool.results) == 2 and [r.seq for r in errors] == [0]
     assert "3 outputs for 2 dests" in errors[0].error
     assert codec.decode(pool.results[1].value) == 2
+
+
+def test_wiring_fault_in_complete_fails_graph_not_worker():
+    # the OUT token retires the graph before the second token is routed
+    early_out = parse_dump("1 _ split2 [_] -> [OUT,(_,2,1)]\n2 _ inc [_,_] -> [(_,2,2)]\n")
+    bad_slot = parse_dump("1 _ inc [_] -> [(_,2,2)]\n2 _ inc [_] -> [OUT]\n")
+    assert validate_graph(early_out) == [] and validate_graph(bad_slot) == ["BadSlot(1)"]
+    pool, runtime, descs, _ = make_runtime(1)
+    for i in range(3):
+        pool.submit_task(early_out, codec.encode(i))
+    pool.submit_task(bad_slot, codec.encode(3))
+    pool.submit_task(compile_skeleton(Seq("inc")), codec.encode(4))
+    assert pool.wait_quiescent(5)
+    runtime.shutdown()
+    assert descs[0].state == "stopped"
+    values = {r.seq: codec.decode(r.value) for r in pool.results if r.error is None}
+    assert values == {0: 0, 1: 1, 2: 2, 4: 5}
+    errors = [r for r in pool.results if r.error is not None]
+    assert [r.seq for r in errors] == [3] and "slot 2 of 1" in errors[0].error
 
 
 def test_comm_delay_serializes_on_shared_link():

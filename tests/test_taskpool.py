@@ -8,10 +8,10 @@ import pytest
 
 from mdflow import codec
 from mdflow.compiler import Farm, Pipe, Seq, compile_skeleton
-from mdflow.core import OUT, Dest, is_fireable
+from mdflow.core import is_fireable
 from mdflow.ops import default_registry
 from mdflow.runtime import Runtime
-from mdflow.taskpool import NotInFlight, PoolClosed, TaskPool, UnknownGraph
+from mdflow.taskpool import NotInFlight, PoolClosed, TaskPool
 
 
 @pytest.fixture
@@ -52,7 +52,8 @@ def test_submit_after_close(pool, fg_template):
 def test_deliver_external_emits_and_retires(pool):
     t = compile_skeleton(Seq("f"))
     gid = pool.submit_task(t, codec.encode(1))
-    pool.deliver_token(gid, OUT, codec.encode(2))
+    _, instr = pool.fetch_fireable(0.1)
+    assert pool.complete(gid, instr.id, [codec.encode(2)])
     assert pool.pending_count() == 0
     assert len(pool.results) == 1
     assert codec.decode(pool.results[0].value) == 2
@@ -61,19 +62,12 @@ def test_deliver_external_emits_and_retires(pool):
 
 def test_deliver_internal_makes_fireable(pool, fg_template):
     gid = pool.submit_task(fg_template, codec.encode(10))
-    pool.fetch_fireable(0.1)  # drain instruction 1 from the queue
-    pool.deliver_token(gid, Dest(gid, 2, 1), codec.encode(11))
+    _, instr = pool.fetch_fireable(0.1)  # instruction 1 routes to (gid, 2, 1)
+    pool.complete(gid, instr.id, [codec.encode(11)])
     got = pool.fetch_fireable(0.1)
     assert got is not None
     assert got[1].id == 2 and got[1].opcode == "g"
-
-
-def test_deliver_to_retired_graph(pool):
-    t = compile_skeleton(Seq("f"))
-    gid = pool.submit_task(t, codec.encode(1))
-    pool.deliver_token(gid, OUT, codec.encode(2))
-    with pytest.raises(UnknownGraph):
-        pool.deliver_token(gid, OUT, codec.encode(3))
+    assert got[1].inputs == [codec.encode(11)]
 
 
 def test_fetch_fifo_order(pool):

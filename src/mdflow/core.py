@@ -371,18 +371,22 @@ class Opcode:
 class OpcodeRegistry:
     """Named pure functions, present identically on client and workers.
 
-    Names of the form ``chain(a,b,...)`` are resolved on the fly to the
-    left-to-right composition of the registered unary opcodes a, b, ...
+    Names of the form ``chain(a,b,...)`` resolve to the left-to-right
+    composition of the registered unary opcodes a, b, ...; the composed
+    Opcode is built on first use and kept until the next `register`.
     """
 
     def __init__(self) -> None:
         self._ops: dict[str, Opcode] = {}
+        # resolved chain opcodes by name; cleared when any link may change
+        self._chains: dict[str, Opcode] = {}
 
     def register(self, name: str, fn: Callable[..., Any], in_arity: int = 1,
                  out_arity: int = 1, cost_ms: float = 0.0) -> None:
         if in_arity < 1 or out_arity < 1:
             raise ArityMismatch(f"{name}: arities must be >= 1")
         self._ops[name] = Opcode(name, fn, in_arity, out_arity, cost_ms)
+        self._chains.clear()
 
     def __contains__(self, name: str) -> bool:
         try:
@@ -399,39 +403,30 @@ class OpcodeRegistry:
                 for op in (self._ops[n] for n in self.names())]
 
     def resolve(self, name: str) -> Opcode:
-        if name in self._ops:
-            return self._ops[name]
+        op = self._ops.get(name) or self._chains.get(name)
+        if op is not None:
+            return op
         links = _chain_links(name)
-        if links is not None:
-            ops = [self.resolve(p) for p in links]
-            for op in ops:
-                if op.in_arity != 1 or op.out_arity != 1:
-                    raise ArityMismatch(f"chain link {op.name} is not unary")
-            fns = [op.fn for op in ops]
+        if links is None:
+            raise UnknownOpcode(name)
+        ops = [self.resolve(p) for p in links]
+        for link in ops:
+            if link.in_arity != 1 or link.out_arity != 1:
+                raise ArityMismatch(f"chain link {link.name} is not unary")
+        fns = tuple(link.fn for link in ops)
 
-            def chained(x, _fns=tuple(fns)):
-                for f in _fns:
-                    x = f(x)
-                return x
+        def chained(x):
+            for f in fns:
+                x = f(x)
+            return x
 
-            return Opcode(name, chained, 1, 1, sum(op.cost_ms for op in ops))
-        raise UnknownOpcode(name)
+        op = Opcode(name, chained, 1, 1, sum(link.cost_ms for link in ops))
+        self._chains[name] = op
+        return op
 
     def run(self, name: str, args: list[Any]) -> list[Any]:
         """Execute an opcode on decoded values; always returns a list of outputs."""
-        op = self.resolve(name)
-        if len(args) != op.in_arity:
-            raise ArityMismatch(f"{name}: expected {op.in_arity} args, got {len(args)}")
-        try:
-            result = op.fn(*args)
-        except Exception as exc:
-            raise OpcodeError(f"{name}: {exc}") from exc
-        if op.out_arity == 1:
-            return [result]
-        outs = list(result)
-        if len(outs) != op.out_arity:
-            raise OpcodeError(f"{name}: declared {op.out_arity} outputs, produced {len(outs)}")
-        return outs
+        return self._apply(self.resolve(name), args)
 
     def run_encoded(self, name: str, payloads: list[bytes],
                     slowdown: float = 1.0) -> list[bytes]:
@@ -439,11 +434,26 @@ class OpcodeRegistry:
         after charging the opcode's synthetic cost, scaled by `slowdown`, as
         sleep (which releases the GIL).  Local and remote workers both run
         instructions through here."""
-        cost_ms = self.resolve(name).cost_ms
-        if cost_ms > 0:
-            time.sleep(cost_ms * slowdown / 1000.0)
+        op = self.resolve(name)
+        if op.cost_ms > 0:
+            time.sleep(op.cost_ms * slowdown / 1000.0)
         args = [codec.decode(p) for p in payloads]
-        return [codec.encode(v) for v in self.run(name, args)]
+        return [codec.encode(v) for v in self._apply(op, args)]
+
+    @staticmethod
+    def _apply(op: Opcode, args: list[Any]) -> list[Any]:
+        if len(args) != op.in_arity:
+            raise ArityMismatch(f"{op.name}: expected {op.in_arity} args, got {len(args)}")
+        try:
+            result = op.fn(*args)
+        except Exception as exc:
+            raise OpcodeError(f"{op.name}: {exc}") from exc
+        if op.out_arity == 1:
+            return [result]
+        outs = list(result)
+        if len(outs) != op.out_arity:
+            raise OpcodeError(f"{op.name}: declared {op.out_arity} outputs, produced {len(outs)}")
+        return outs
 
 
 def manifest_supports(manifest_names: set[str], opcode_name: str) -> bool:

@@ -1,6 +1,6 @@
 """Canonical binary codec: round trips, determinism, error cases."""
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mdflow import codec
 
@@ -44,3 +44,117 @@ def test_truncated_data_raises():
 def test_trailing_garbage_raises():
     with pytest.raises(codec.CodecError):
         codec.decode(codec.encode(1) + b"junk")
+
+
+# The wire format, byte for byte.  Changing any of these breaks every peer
+# and every stored payload: the codec is rewritten for speed, never for
+# format.
+GOLDEN = [
+    (None, b"N"),
+    (True, b"T"),
+    (False, b"F"),
+    (0, b"I\x01\x00\x00\x000"),
+    (-1, b"I\x02\x00\x00\x00-1"),
+    (10**40, b"I)\x00\x00\x00" + b"1" + b"0" * 40),
+    (1.5, b"D\x00\x00\x00\x00\x00\x00\xf8?"),
+    (-0.0, b"D\x00\x00\x00\x00\x00\x00\x00\x80"),
+    (float("inf"), b"D\x00\x00\x00\x00\x00\x00\xf0\x7f"),
+    (b"\x00\xff", b"B\x02\x00\x00\x00\x00\xff"),
+    ("", b"S\x00\x00\x00\x00"),
+    ("héllo 漢", b"S\n\x00\x00\x00h\xc3\xa9llo \xe6\xbc\xa2"),
+    ([], b"L\x00\x00\x00\x00"),
+    ((1, "a"), b"L\x02\x00\x00\x00I\x01\x00\x00\x001S\x01\x00\x00\x00a"),
+    # keys sort by encoded form, so the length prefix puts "b" before "aa"
+    ({"b": {"zz": 1, "a": [None]}, "aa": 2.5},
+     b"M\x02\x00\x00\x00S\x01\x00\x00\x00bM\x02\x00\x00\x00S\x01\x00\x00\x00a"
+     b"L\x01\x00\x00\x00NS\x02\x00\x00\x00zzI\x01\x00\x00\x001"
+     b"S\x02\x00\x00\x00aaD\x00\x00\x00\x00\x00\x00\x04@"),
+    ([1, 2, 3], b"L\x03\x00\x00\x00I\x01\x00\x00\x001I\x01\x00\x00\x002I\x01\x00\x00\x003"),
+]
+
+
+@pytest.mark.parametrize("value,wire", GOLDEN, ids=[repr(v)[:24] for v, _ in GOLDEN])
+def test_golden_encoding(value, wire):
+    assert codec.encode(value) == wire
+    decoded = codec.decode(wire)
+    assert decoded == (list(value) if isinstance(value, tuple) else value)
+    assert type(decoded) is (list if isinstance(value, tuple) else type(value))
+
+
+class MyInt(int):
+    pass
+
+
+class MyStr(str):
+    pass
+
+
+class MyList(list):
+    pass
+
+
+class MyDict(dict):
+    pass
+
+
+def test_subclasses_encode_like_their_base():
+    assert codec.encode(MyInt(-12)) == codec.encode(-12)
+    assert codec.encode(MyStr("x")) == codec.encode("x")
+    assert codec.encode(MyList([1, MyInt(2)])) == codec.encode([1, 2])
+    assert codec.encode(MyDict({MyStr("k"): 1})) == codec.encode({"k": 1})
+
+
+@pytest.mark.parametrize("data", [
+    b"I\x01\x00\x00\x00x",                    # int body not decimal
+    b"I\x00\x00\x00\x00",                     # empty int body
+    b"S\x01\x00\x00\x00\xff",                 # str body not UTF-8
+    b"M\x01\x00\x00\x00L\x00\x00\x00\x00N",  # unhashable dict key
+    b"M\x01\x00\x00\x00I\x01\x00\x00\x001N",  # non-str dict key
+    b"S\x05\x00\x00\x00ab",                   # body past the end
+    b"L\x02\x00\x00\x00N",                    # too few items
+    b"D\x00\x00",                             # short float
+    b"",
+    b"X",
+    b"L\x01\x00\x00\x00" * 100_000 + b"N",    # nested past the recursion limit
+], ids=lambda d: repr(d[:12]))
+def test_malformed_payload_raises_codec_error(data):
+    with pytest.raises(codec.CodecError):
+        codec.decode(data)
+
+
+@pytest.mark.parametrize("value", ["\ud800", 10**5000], ids=["lone-surrogate", "huge-int"])
+def test_unencodable_value_raises_codec_error(value):
+    with pytest.raises(codec.CodecError):
+        codec.encode(value)
+
+
+def test_cyclic_value_raises_codec_error():
+    cyclic = []
+    cyclic.append(cyclic)
+    with pytest.raises(codec.CodecError):
+        codec.encode(cyclic)
+
+
+def decode_or_codec_error(data: bytes) -> None:
+    try:
+        codec.decode(data)
+    except codec.CodecError:
+        pass
+
+
+@settings(deadline=None)
+@given(st.binary())
+def test_decode_of_arbitrary_bytes_raises_only_codec_error(data):
+    decode_or_codec_error(data)
+
+
+@settings(deadline=None)
+@given(values, st.data())
+def test_decode_of_mutated_encoding_raises_only_codec_error(value, data):
+    wire = bytearray(codec.encode(value))
+    edits = data.draw(st.lists(st.tuples(st.integers(0, len(wire) - 1),
+                                         st.integers(0, 255)), max_size=4))
+    for i, byte in edits:
+        wire[i] = byte
+    cut = data.draw(st.integers(0, len(wire)))
+    decode_or_codec_error(bytes(wire[:cut]))

@@ -259,6 +259,15 @@ def test_chain_cost_is_summed():
     assert op.cost_ms == 10.0
 
 
+def test_chain_resolves_once_until_a_link_is_registered_again(registry):
+    name = chain_opcode(["inc", "double"])
+    op = registry.resolve(name)
+    assert registry.resolve(name) is op
+    registry.register("double", lambda x: x * 3)
+    assert registry.resolve(name) is not op
+    assert registry.run(name, [3]) == [12]  # (3 + 1) * 3
+
+
 def test_chain_rejects_non_unary(registry):
     with pytest.raises(ArityMismatch):
         registry.resolve(chain_opcode(["add2"]))

@@ -121,6 +121,14 @@ def test_opcode_fault_is_marked(server):
     client.close()
 
 
+def test_malformed_payload_is_an_opcode_fault_and_keeps_the_connection(server):
+    client = WorkerClient(server.host, server.port)
+    with pytest.raises(OpcodeError):
+        client.execute("echo", [b"I\x01\x00\x00\x00x"], 5.0)
+    assert client.execute("inc", [codec.encode(1)], 5.0) == [codec.encode(2)]
+    client.close()
+
+
 def test_malformed_fail_frames_are_protocol_errors():
     listener = socket.create_server(("127.0.0.1", 0))
     message = b"worker-side failure"

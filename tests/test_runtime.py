@@ -207,6 +207,27 @@ def test_poison_instruction_fails_its_graph_not_the_workers(poison):
     assert all(d.state == "stopped" for d in descs)  # none failed
 
 
+MALFORMED_PAYLOADS = [
+    b"I\x01\x00\x00\x00x",                    # int body not decimal
+    b"S\x01\x00\x00\x00\xff",                 # str body not UTF-8
+    b"M\x01\x00\x00\x00L\x00\x00\x00\x00N",  # unhashable dict key
+]
+
+
+@pytest.mark.parametrize("payload", MALFORMED_PAYLOADS, ids=["int", "utf8", "key"])
+def test_malformed_payload_fails_its_graph_not_the_workers(payload):
+    pool, runtime, descs, _ = make_runtime(2)
+    t = compile_skeleton(Farm(Seq("f")))
+    pool.submit_task(t, payload)
+    pool.submit_task(t, codec.encode(1))
+    assert pool.wait_quiescent(5)
+    assert all(d.state != "failed" and d._thread.is_alive() for d in descs)
+    runtime.shutdown()
+    errors = [r for r in pool.results if r.error is not None]
+    assert [r.seq for r in errors] == [0]
+    assert {r.seq: codec.decode(r.value) for r in pool.results if r.error is None} == {1: 2}
+
+
 class FailGraphThenDie:
     """Executor whose instruction's graph is failed by a sibling instruction
     just before the worker itself dies."""

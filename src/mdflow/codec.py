@@ -86,7 +86,7 @@ def _encode_into(value, out: list) -> None:
         append = out.append
         append(_T_LIST + _u32_pack(len(value)))
         for item in value:
-            if type(item) is int:
+            if type(item) is int:  # inline: a call per item costs more than the item
                 body = b"%d" % item
                 n = len(body)
                 append(_INT_HEADS[n] if n < 64 else _T_INT + _u32_pack(n))

@@ -21,10 +21,10 @@ tag, bad int or UTF-8 body, non-str dict key, nesting too deep), never
 another exception type.
 
 Every operation is on the hot path of remote execution, so both
-directions dispatch on the exact type (or tag) first and keep subclasses
-on a slower isinstance path, encode collects parts and joins them once,
-and decode checks bounds once, by catching the exception a short read
-raises.
+directions dispatch on the exact type (or tag) first, encode collects
+parts and joins them once, and decode checks bounds once, by catching
+the exception a short read raises.  A subclass instance is converted to
+its base type and encoded as that.
 """
 from __future__ import annotations
 
@@ -62,6 +62,14 @@ _INT_HEADS = tuple(_T_INT + _u32_pack(n) for n in range(64))
 
 def _int_head(n: int) -> bytes:
     return _INT_HEADS[n] if n < 64 else _T_INT + _u32_pack(n)
+
+
+# a subclass instance is encoded as a copy of its base value (bool is final);
+# the base's own method makes the copy, so an overridden __str__, such as a
+# (str, Enum) member's, does not change the bytes
+_SUBCLASS_BASES = ((int, int.__int__), (float, float.__float__),
+                   (bytes, bytes), (str, str.__str__),
+                   (list, list), (tuple, list), (dict, dict))
 
 
 def encode(value) -> bytes:
@@ -111,7 +119,11 @@ def _encode_into(value, out: list) -> None:
     elif t is dict:
         _encode_dict(value, out)
     else:
-        _encode_subclass(value, out)
+        for base, to_base in _SUBCLASS_BASES:
+            if isinstance(value, base):
+                _encode_into(to_base(value), out)
+                return
+        raise CodecError(f"unsupported payload type: {t.__name__}")
 
 
 def _encode_dict(value: dict, out: list) -> None:
@@ -126,31 +138,6 @@ def _encode_dict(value: dict, out: list) -> None:
     for ek, v in items:
         out.append(ek)
         _encode_into(v, out)
-
-
-def _encode_subclass(value, out: list) -> None:
-    """Instances of subclasses of the supported types (bool is final)."""
-    if isinstance(value, int):
-        body = str(value).encode("ascii")
-        out.append(_int_head(len(body)))
-        out.append(body)
-    elif isinstance(value, float):
-        out.append(_T_FLOAT + _f64_pack(value))
-    elif isinstance(value, bytes):
-        out.append(_T_BYTES + _u32_pack(len(value)))
-        out.append(value)
-    elif isinstance(value, str):
-        body = value.encode("utf-8")
-        out.append(_T_STR + _u32_pack(len(body)))
-        out.append(body)
-    elif isinstance(value, (list, tuple)):
-        out.append(_T_LIST + _u32_pack(len(value)))
-        for item in value:
-            _encode_into(item, out)
-    elif isinstance(value, dict):
-        _encode_dict(value, out)
-    else:
-        raise CodecError(f"unsupported payload type: {type(value).__name__}")
 
 
 def decode(data: bytes):

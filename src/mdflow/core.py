@@ -339,6 +339,8 @@ def _split_dests(s: str) -> list[str]:
 # Opcode registry
 
 _CHAIN_PREFIX = "chain("
+# resolved chains kept per registry; templates use a handful
+_CHAIN_MEMO_MAX = 256
 
 
 def chain_opcode(names: list[str]) -> str:
@@ -373,7 +375,8 @@ class OpcodeRegistry:
 
     Names of the form ``chain(a,b,...)`` resolve to the left-to-right
     composition of the registered unary opcodes a, b, ...; the composed
-    Opcode is built on first use and kept until the next `register`.
+    Opcode is built on first use and kept until the next `register` (or
+    until the memo fills, at a fixed size).
     """
 
     def __init__(self) -> None:
@@ -421,6 +424,8 @@ class OpcodeRegistry:
             return x
 
         op = Opcode(name, chained, 1, 1, sum(link.cost_ms for link in ops))
+        if len(self._chains) >= _CHAIN_MEMO_MAX:  # a peer may send any number of names
+            self._chains.clear()
         self._chains[name] = op
         return op
 

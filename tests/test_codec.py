@@ -1,4 +1,6 @@
 """Canonical binary codec: round trips, determinism, error cases."""
+import enum
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -97,11 +99,40 @@ class MyDict(dict):
     pass
 
 
+class MyFloat(float):
+    pass
+
+
+class MyBytes(bytes):
+    pass
+
+
+class MyTuple(tuple):
+    pass
+
+
+class Colour(str, enum.Enum):
+    RED = "red"
+
+
+class Level(int, enum.Enum):
+    HIGH = 3
+
+
 def test_subclasses_encode_like_their_base():
     assert codec.encode(MyInt(-12)) == codec.encode(-12)
     assert codec.encode(MyStr("x")) == codec.encode("x")
     assert codec.encode(MyList([1, MyInt(2)])) == codec.encode([1, 2])
     assert codec.encode(MyDict({MyStr("k"): 1})) == codec.encode({"k": 1})
+    assert codec.encode(MyFloat(-0.0)) == codec.encode(-0.0)
+    assert codec.encode(MyBytes(b"\x00b")) == codec.encode(b"\x00b")
+    assert codec.encode(MyTuple((1, "a"))) == codec.encode([1, "a"])
+
+
+def test_enum_members_encode_as_their_values():
+    # the value, not str(member), which is "Colour.RED" for these mixins
+    assert codec.encode(Colour.RED) == codec.encode("red")
+    assert codec.encode(Level.HIGH) == codec.encode(3)
 
 
 @pytest.mark.parametrize("data", [

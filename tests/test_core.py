@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mdflow import codec
+from mdflow import codec, core
 from mdflow.core import (
     OUT,
     ArityMismatch,
@@ -266,6 +266,14 @@ def test_chain_resolves_once_until_a_link_is_registered_again(registry):
     registry.register("double", lambda x: x * 3)
     assert registry.resolve(name) is not op
     assert registry.run(name, [3]) == [12]  # (3 + 1) * 3
+
+
+def test_chain_memo_stays_bounded(registry):
+    names = [chain_opcode(["inc"] * n) for n in range(1, 600)]
+    for name in names:
+        registry.resolve(name)
+        assert len(registry._chains) <= core._CHAIN_MEMO_MAX
+    assert registry.run(names[-1], [0]) == [599]
 
 
 def test_chain_rejects_non_unary(registry):

@@ -80,7 +80,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
     print(f"worker listening on {server.host}:{server.port}")
     server.start()
     done.wait()
-    server.stop()  # drains per-connection work, then exits
+    server.stop()  # closes the listener and every open connection
     return 0
 
 

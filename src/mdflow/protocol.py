@@ -7,13 +7,17 @@ byte strings with 32-bit length prefixes.
     HELLO{proto_version}        -> READY{manifest: (name, in_arity, out_arity)*}
     EXEC{req_id, opcode, args*} -> RESULT{req_id, outputs*} | FAIL{req_id, message}
 
-A FAIL message starting with OPCODE_FAULT_PREFIX is an opcode fault, which
-the client raises as OpcodeError.  Protocol version 1.  A version mismatch
-or malformed frame (a non-UTF-8 name included) gets an ERROR frame and the
-connection is closed.
+A client may pipeline EXECs: it can send several before reading a reply.
+The daemon serves each connection strictly in turn, so replies come back in
+the order their requests were sent.  A FAIL message starting with
+OPCODE_FAULT_PREFIX is an opcode fault, which the client raises as
+OpcodeError.  Protocol version 1.  A version mismatch or malformed frame (a
+non-UTF-8 name included) gets an ERROR frame and the connection is closed.
 """
 from __future__ import annotations
 
+import contextlib
+import itertools
 import socket
 import struct
 import threading
@@ -162,17 +166,23 @@ def decode_payload_list(body: bytes) -> tuple[int, list[bytes]]:
 
 
 class WorkerClient:
-    """Client side of the protocol: handshake and EXEC round trips.
+    """Client side of the protocol: handshake and EXECs.
 
-    `execute` raises OpcodeError for an opcode fault, RemoteFailure for any
-    other worker-side failure, a timeout or a lost connection, and
-    ProtocolError for a malformed or mismatched reply."""
+    `send_exec` and `read_reply` split an EXEC round trip so that a caller
+    can keep several requests in flight: one thread sends, one reads, and
+    replies arrive in send order.  `execute` is one blocking round trip.
+    All three raise RemoteFailure for a lost connection or a timeout (the
+    socket's timeout, set by the caller); `read_reply` and `execute` raise
+    OpcodeError for an opcode fault, RemoteFailure for any other
+    worker-side failure, and ProtocolError for a malformed or mismatched
+    reply."""
 
     def __init__(self, host: str, port: int, connect_timeout: float = 5.0) -> None:
         self.sock = socket.create_connection((host, port), timeout=connect_timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock.settimeout(connect_timeout)
         self._lock = threading.Lock()
-        self._next_req = 1
+        self._req_ids = itertools.count(1)
         send_frame(self.sock, HELLO, _U32.pack(PROTO_VERSION))
         ftype, body = recv_frame(self.sock)
         if ftype == ERROR:
@@ -181,16 +191,21 @@ class WorkerClient:
             raise ProtocolError(f"expected READY, got frame type {ftype}")
         self.manifest = decode_manifest(body)
 
-    def execute(self, opcode: str, payloads: list[bytes], deadline_s: float) -> list[bytes]:
-        with self._lock:
-            req_id = self._next_req
-            self._next_req += 1
-            try:
-                self.sock.settimeout(deadline_s)
-                send_frame(self.sock, EXEC, encode_exec(req_id, opcode, payloads))
-                ftype, body = recv_frame(self.sock)
-            except (OSError, ConnectionError) as exc:
-                raise RemoteFailure(f"connection lost or timeout: {exc}") from exc
+    def send_exec(self, opcode: str, payloads: list[bytes]) -> int:
+        """Send one EXEC; returns its request id."""
+        req_id = next(self._req_ids)
+        try:
+            send_frame(self.sock, EXEC, encode_exec(req_id, opcode, payloads))
+        except OSError as exc:
+            raise RemoteFailure(f"connection lost or timeout: {exc}") from exc
+        return req_id
+
+    def read_reply(self, req_id: int) -> list[bytes]:
+        """Read the next reply, which must answer `req_id`; its outputs."""
+        try:
+            ftype, body = recv_frame(self.sock)
+        except OSError as exc:  # ConnectionError and socket.timeout included
+            raise RemoteFailure(f"connection lost or timeout: {exc}") from exc
         if ftype == RESULT:
             rid, outputs = decode_payload_list(body)
         elif ftype == FAIL:
@@ -210,18 +225,28 @@ class WorkerClient:
             raise RemoteFailure(message)
         return outputs
 
+    def execute(self, opcode: str, payloads: list[bytes], deadline_s: float) -> list[bytes]:
+        with self._lock:
+            self.sock.settimeout(deadline_s)
+            return self.read_reply(self.send_exec(opcode, payloads))
+
     def close(self) -> None:
-        try:
+        """Close the connection; a thread blocked in `read_reply` wakes with
+        RemoteFailure."""
+        with contextlib.suppress(OSError):
+            self.sock.shutdown(socket.SHUT_RDWR)
+        with contextlib.suppress(OSError):
             self.sock.close()
-        except OSError:
-            pass
 
 
 class WorkerServer:
     """The remote data-flow interpreter daemon.
 
-    Accepts connections and executes EXEC requests sequentially per
-    connection; parallelism comes from recruiting more workers.
+    Accepts connections and serves each one strictly in turn: it executes
+    one EXEC, answers it, then reads the next, so a client that pipelines
+    EXECs gets its replies in send order.  Parallelism comes from recruiting
+    more workers.  `stop` closes the listener and shuts down every open
+    connection.
     """
 
     def __init__(self, registry: OpcodeRegistry, host: str = "127.0.0.1",
@@ -234,6 +259,9 @@ class WorkerServer:
         self.host, self.port = self._sock.getsockname()
         self._stopping = threading.Event()
         self._thread: Optional[threading.Thread] = None
+        #: open connections, shut down by `stop`
+        self._conns: set[socket.socket] = set()
+        self._conns_lock = threading.Lock()
 
     def start(self) -> "WorkerServer":
         self._thread = threading.Thread(target=self.serve_forever, daemon=True,
@@ -250,6 +278,11 @@ class WorkerServer:
                 continue
             except OSError:
                 break
+            with self._conns_lock:
+                if self._stopping.is_set():
+                    conn.close()
+                    break
+                self._conns.add(conn)
             threading.Thread(target=self._serve_conn, args=(conn,), daemon=True).start()
         self._sock.close()
 
@@ -257,25 +290,29 @@ class WorkerServer:
         self._stopping.set()
         if self._thread is not None:
             self._thread.join(timeout=2.0)
+        with self._conns_lock:
+            conns = list(self._conns)
+        for conn in conns:
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
 
     def _serve_conn(self, conn: socket.socket) -> None:
         conn.settimeout(None)
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             while not self._stopping.is_set():
                 try:
-                    ftype, body = recv_frame(conn)
-                except (ConnectionError, OSError):
-                    return
-                try:
-                    self._handle(conn, ftype, body)
+                    self._handle(conn, *recv_frame(conn))
                 except ProtocolError as exc:
                     send_frame(conn, ERROR, str(exc).encode("utf-8"))
                     return
+        except OSError:  # the client went away, or `stop` shut the connection
+            pass
         finally:
-            try:
+            with self._conns_lock:
+                self._conns.discard(conn)
+            with contextlib.suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
 
     def _handle(self, conn: socket.socket, ftype: int, body: bytes) -> None:
         if ftype == HELLO:

@@ -1,11 +1,14 @@
 """The distributed macro data-flow interpreter.
 
-One control loop per recruited worker: fetch a fireable instruction from
-the task pool, execute it (in process or on a remote daemon over the wire
-protocol), and deliver the output tokens.  A worker failure requeues the
-in-flight instruction and marks the worker failed; surviving loops pick the
-work up, so execution is at-least-once while emission stays exactly-once
-(the pool deduplicates).
+One control loop per recruited worker fetches fireable instructions from
+the task pool and has them executed.  A local worker's loop executes each
+instruction in process and delivers its output tokens.  A remote worker's
+loop is a sender: it keeps up to PIPELINE_DEPTH EXECs in flight on the
+worker's connection, and a reader thread per connection takes the replies
+in order and delivers them.  A worker failure requeues every instruction it
+has in flight and marks the worker failed; surviving loops pick the work
+up, so execution is at-least-once while emission stays exactly-once (the
+pool deduplicates).
 """
 from __future__ import annotations
 
@@ -32,6 +35,9 @@ WorkerSpec = Union[str, tuple[str, int]]
 
 #: floor of a remote dispatch's deadline (seconds)
 REMOTE_DEADLINE_S = 10.0
+
+#: EXECs a remote worker keeps in flight on its connection
+PIPELINE_DEPTH = 16
 
 
 class Unreachable(MdfError):
@@ -91,7 +97,8 @@ class RemoteExecutor:
 
     The per-dispatch deadline is max(REMOTE_DEADLINE_S, 8 x rolling mean
     instruction duration); transport loss surfaces as RemoteFailure and an
-    opcode fault as OpcodeError.
+    opcode fault as OpcodeError.  `execute` is one blocking round trip; a
+    remote worker's control loop pipelines on `client` instead.
     """
 
     def __init__(self, host: str, port: int) -> None:
@@ -120,6 +127,20 @@ class RemoteExecutor:
 
     def close(self) -> None:
         self.client.close()
+
+
+class _Window:
+    """The EXECs in flight on one remote connection, oldest first, shared by
+    the worker's sender and its reply reader."""
+
+    def __init__(self) -> None:
+        self.cond = threading.Condition()
+        #: (req_id, gid, instr, sent_at, deadline) per EXEC sent
+        self.sent: deque[tuple[int, int, MdfInstruction, float, float]] = deque()
+        #: the connection is gone and the window was requeued
+        self.lost = False
+        #: the sender has stopped: the reader exits once the window is empty
+        self.closing = False
 
 
 class Runtime:
@@ -169,7 +190,8 @@ class Runtime:
     def start_worker(self, desc: WorkerDescriptor) -> None:
         if desc.state != "idle":
             raise BadState(f"worker {desc.wid} is {desc.state}")
-        desc._thread = threading.Thread(target=self._control_loop, args=(desc,),
+        loop = self._remote_loop if desc.kind == "remote" else self._control_loop
+        desc._thread = threading.Thread(target=loop, args=(desc,),
                                         daemon=True, name=f"mdflow-ctl-{desc.wid}")
         desc._thread.start()
 
@@ -182,7 +204,7 @@ class Runtime:
             self.start_worker(desc)
 
     def stop_worker(self, desc: WorkerDescriptor, timeout: float = 30.0) -> None:
-        """Drain: finish the in-flight instruction, then idle out of rotation."""
+        """Drain: finish the instructions in flight, then idle out of rotation."""
         if desc.state == "failed":
             raise BadState(f"worker {desc.wid} has failed")
         desc._stop.set()
@@ -192,8 +214,8 @@ class Runtime:
             desc.state = "stopped"
 
     def kill_worker(self, desc: WorkerDescriptor) -> None:
-        """Simulate sudden worker death: the current (or next) instruction
-        fails and is requeued elsewhere."""
+        """Simulate sudden worker death: the instructions in flight (or the
+        next one) fail and are requeued elsewhere."""
         desc._killed.set()
 
     def remove_worker(self, desc: WorkerDescriptor) -> None:
@@ -220,7 +242,7 @@ class Runtime:
             if desc._executor is not None:
                 desc._executor.close()
 
-    # -- the control loop ---------------------------------------------------
+    # -- the control loops ---------------------------------------------------
 
     def _control_loop(self, desc: WorkerDescriptor) -> None:
         pool = self.pool
@@ -235,29 +257,131 @@ class Runtime:
             desc.state = "busy"
             t0 = time.monotonic()
             try:
-                if self.comm_delay_ms > 0:
-                    with self._link:
-                        time.sleep(self.comm_delay_ms / 1000.0)
-                outputs = desc._executor.execute(desc, instr)
+                self._use_link()
+                outcome = desc._executor.execute(desc, instr)
             except DETERMINISTIC_FAULTS as exc:
-                # the instruction is at fault: fail its graph, keep the worker
-                pool.fail_graph(gid, str(exc))
-                desc.state = "idle"
-                continue
+                outcome = exc
             except Exception as exc:
                 with contextlib.suppress(NotInFlight):  # a sibling failed the graph
                     pool.requeue(gid, instr.id)
                 self._fail(desc, exc)
                 return
-            try:
-                pool.complete(gid, instr.id, outputs)
-            except MdfError as exc:
-                # a wiring fault in the graph: fail the graph, keep the worker
-                pool.fail_graph(gid, str(exc))
-            desc.completed += 1
-            desc.busy_ms += (time.monotonic() - t0) * 1000.0
+            self._finish(desc, gid, instr.id, outcome, t0)
             desc.state = "idle"
         desc.state = "stopped"
+
+    def _remote_loop(self, desc: WorkerDescriptor) -> None:
+        """A remote worker's sender: keep up to PIPELINE_DEPTH EXECs in flight
+        while `_read_replies`, on a thread of its own, completes them."""
+        pool, client, window = self.pool, desc._executor.client, _Window()
+        reader = threading.Thread(target=self._read_replies, args=(desc, window),
+                                  daemon=True, name=f"mdflow-reader-{desc.wid}")
+        reader.start()
+        try:
+            while not desc._stop.is_set() and not window.lost:
+                if desc._killed.is_set():
+                    self._lose(desc, window, WorkerKilled(f"worker {desc.wid} died"))
+                    return
+                with window.cond:
+                    if len(window.sent) >= PIPELINE_DEPTH:
+                        window.cond.wait(0.05)
+                        continue
+                item = pool.fetch_fireable(0.05)
+                if item is None:
+                    continue
+                gid, instr = item
+                try:
+                    self._use_link()
+                    sent_at = time.monotonic()
+                    req_id = client.send_exec(instr.opcode, instr.inputs)
+                except Exception as exc:
+                    with contextlib.suppress(NotInFlight):
+                        pool.requeue(gid, instr.id)
+                    self._lose(desc, window, exc)
+                    return
+                deadline = sent_at + desc._executor._deadline()
+                with window.cond:
+                    if not window.lost:
+                        window.sent.append((req_id, gid, instr, sent_at, deadline))
+                        desc.state = "busy"
+                        window.cond.notify_all()
+                        continue
+                # the reader lost the connection while this EXEC was sent
+                with contextlib.suppress(NotInFlight):
+                    pool.requeue(gid, instr.id)
+        finally:
+            with window.cond:
+                window.closing = True
+                window.cond.notify_all()
+            reader.join()
+        if not window.lost:
+            desc.state = "stopped"
+
+    def _read_replies(self, desc: WorkerDescriptor, window: _Window) -> None:
+        """A remote worker's reader: the daemon answers in send order, so each
+        reply must answer the oldest EXEC in flight, within its deadline."""
+        executor = desc._executor
+        try:
+            while True:
+                with window.cond:
+                    while not (window.sent or window.closing or window.lost):
+                        window.cond.wait()
+                    if window.lost or not window.sent:
+                        return
+                    req_id, gid, instr, sent_at, deadline = window.sent[0]
+                executor.client.sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+                try:
+                    outcome = executor.client.read_reply(req_id)
+                except DETERMINISTIC_FAULTS as exc:
+                    outcome = exc
+                with window.cond:
+                    if window.lost:  # requeued with the window
+                        return
+                    window.sent.popleft()
+                    if not window.sent:
+                        desc.state = "idle"
+                    window.cond.notify_all()
+                executor._durations.append(time.monotonic() - sent_at)
+                self._finish(desc, gid, instr.id, outcome, sent_at)
+        except Exception as exc:  # the connection is lost, or delivery broke
+            self._lose(desc, window, exc)
+
+    def _lose(self, desc: WorkerDescriptor, window: _Window, exc: Exception) -> None:
+        """A remote worker's connection is gone: requeue every EXEC in flight,
+        close the connection and fail the worker, once."""
+        with window.cond:
+            if window.lost:
+                return
+            window.lost = True
+            sent = list(window.sent)
+            window.sent.clear()
+            window.cond.notify_all()
+        for _, gid, instr, _, _ in reversed(sent):  # the oldest ends up first
+            with contextlib.suppress(NotInFlight):  # a sibling failed the graph
+                self.pool.requeue(gid, instr.id)
+        desc._executor.close()
+        self._fail(desc, exc)
+
+    def _use_link(self) -> None:
+        """Hold the shared link for one dispatch's communication delay."""
+        if self.comm_delay_ms > 0:
+            with self._link:
+                time.sleep(self.comm_delay_ms / 1000.0)
+
+    def _finish(self, desc: WorkerDescriptor, gid: int, iid: int,
+                outcome: Union[list[bytes], Exception], t0: float) -> None:
+        """Apply the fault policy to one execution's outcome.  Outputs complete
+        the instruction; a deterministic fault, or a wiring fault that
+        `complete` finds, fails the instruction's graph and keeps the worker."""
+        if isinstance(outcome, DETERMINISTIC_FAULTS):
+            self.pool.fail_graph(gid, str(outcome))
+            return
+        try:
+            self.pool.complete(gid, iid, outcome)
+        except MdfError as exc:
+            self.pool.fail_graph(gid, str(exc))
+        desc.completed += 1
+        desc.busy_ms += (time.monotonic() - t0) * 1000.0
 
     def _fail(self, desc: WorkerDescriptor, exc: Exception) -> None:
         desc.state = "failed"

@@ -1,26 +1,30 @@
 """Wire protocol: handshake, EXEC round trips, failure frames, daemon."""
+import contextlib
 import socket
 import struct
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdflow import codec
 from mdflow.compiler import Seq, compile_skeleton
-from mdflow.core import OpcodeError
+from mdflow.core import OpcodeError, OpcodeRegistry
 from mdflow.ops import default_registry
 from mdflow.protocol import (
     ERROR,
     EXEC,
     FAIL,
     HELLO,
+    MAX_FRAME,
     PROTO_VERSION,
     READY,
     ProtocolError,
     RemoteFailure,
     WorkerClient,
     WorkerServer,
+    encode_exec,
     encode_manifest,
     recv_frame,
     send_frame,
@@ -104,6 +108,81 @@ def test_non_utf8_opcode_name_gets_error_frame(server):
     client = WorkerClient(server.host, server.port)  # the daemon still serves
     assert client.execute("inc", [codec.encode(1)], 5.0) == [codec.encode(2)]
     client.close()
+
+
+def test_stop_shuts_open_connections():
+    srv = WorkerServer(default_registry()).start()
+    client = WorkerClient(srv.host, srv.port)
+    try:
+        assert client.execute("inc", [codec.encode(1)], 5.0) == [codec.encode(2)]
+        srv.stop()
+        with pytest.raises(RemoteFailure):
+            client.execute("inc", [codec.encode(1)], 5.0)
+    finally:
+        client.close()
+        srv.stop()
+
+
+_FUZZ_OPCODE = "fuzz-target"
+_U32 = struct.Struct("<I")
+
+
+def _frame(ftype: int, body: bytes) -> bytes:
+    return _U32.pack(1 + len(body)) + bytes([ftype]) + body
+
+
+@st.composite
+def _truncated_exec(draw) -> bytes:
+    """A valid EXEC body cut short, framed whole."""
+    body = encode_exec(draw(st.integers(0, 2**64 - 1)), _FUZZ_OPCODE,
+                       draw(st.lists(st.binary(max_size=16), max_size=3)))
+    return _frame(EXEC, body[:draw(st.integers(0, len(body) - 1))])
+
+
+_fuzz_frames = st.one_of(
+    st.builds(_frame, st.integers(0, 255).filter(lambda t: t != HELLO),
+              st.binary(max_size=64)),
+    _truncated_exec(),
+    # a bad length, or a frame whose length promises more than follows
+    st.builds(lambda n, tail: _U32.pack(n) + tail,
+              st.one_of(st.just(0), st.integers(MAX_FRAME + 1, 2**32 - 1),
+                        st.integers(1, 256)),
+              st.binary(max_size=16)),
+)
+
+
+def test_fuzzed_frames_get_error_or_fail_and_the_daemon_keeps_serving():
+    reg = OpcodeRegistry()  # nothing a random EXEC can name
+    reg.register(_FUZZ_OPCODE, lambda x: x)
+    srv = WorkerServer(reg).start()
+
+    @settings(max_examples=60, deadline=None)
+    @given(frames=st.lists(_fuzz_frames, min_size=1, max_size=4))
+    def check(frames):
+        sock = socket.create_connection((srv.host, srv.port), timeout=5)
+        try:
+            send_frame(sock, HELLO, struct.pack("<I", PROTO_VERSION))
+            assert recv_frame(sock)[0] == READY
+            with contextlib.suppress(OSError):  # the daemon may close first
+                sock.sendall(b"".join(frames))  # back to back, as a pipelining client
+                sock.shutdown(socket.SHUT_WR)
+            replies = []
+            with contextlib.suppress(ConnectionError):  # a close, or a reset
+                while True:
+                    replies.append(recv_frame(sock)[0])
+        finally:
+            sock.close()
+        assert set(replies) <= {ERROR, FAIL}
+        client = WorkerClient(srv.host, srv.port)
+        try:
+            assert client.execute(_FUZZ_OPCODE, [codec.encode(1)], 5.0) == [codec.encode(1)]
+        finally:
+            client.close()
+
+    try:
+        check()
+    finally:
+        srv.stop()
 
 
 def test_unknown_opcode_fails_request(server):

@@ -257,7 +257,8 @@ class Runtime:
             desc.state = "busy"
             t0 = time.monotonic()
             try:
-                self._use_link()
+                if self.comm_delay_ms > 0:
+                    self._use_link()
                 outcome = desc._executor.execute(desc, instr)
             except DETERMINISTIC_FAULTS as exc:
                 outcome = exc
@@ -291,7 +292,8 @@ class Runtime:
                     continue
                 gid, instr = item
                 try:
-                    self._use_link()
+                    if self.comm_delay_ms > 0:
+                        self._use_link()
                     sent_at = time.monotonic()
                     req_id = client.send_exec(instr.opcode, instr.inputs)
                 except Exception as exc:
@@ -364,16 +366,16 @@ class Runtime:
 
     def _use_link(self) -> None:
         """Hold the shared link for one dispatch's communication delay."""
-        if self.comm_delay_ms > 0:
-            with self._link:
-                time.sleep(self.comm_delay_ms / 1000.0)
+        with self._link:
+            time.sleep(self.comm_delay_ms / 1000.0)
 
     def _finish(self, desc: WorkerDescriptor, gid: int, iid: int,
                 outcome: Union[list[bytes], Exception], t0: float) -> None:
-        """Apply the fault policy to one execution's outcome.  Outputs complete
-        the instruction; a deterministic fault, or a wiring fault that
-        `complete` finds, fails the instruction's graph and keeps the worker."""
-        if isinstance(outcome, DETERMINISTIC_FAULTS):
+        """Apply the fault policy to one execution's outcome: its outputs, or
+        the deterministic fault it raised.  Outputs complete the instruction;
+        a deterministic fault, or a wiring fault that `complete` finds, fails
+        the instruction's graph and keeps the worker."""
+        if isinstance(outcome, Exception):
             self.pool.fail_graph(gid, str(outcome))
             return
         try:

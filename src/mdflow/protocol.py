@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import select
 import socket
 import struct
 import threading
+import time
 from typing import Optional
 
 from .core import DETERMINISTIC_FAULTS, MdfError, OpcodeError, OpcodeRegistry
@@ -170,9 +172,10 @@ class WorkerClient:
 
     `send_exec` and `read_reply` split an EXEC round trip so that a caller
     can keep several requests in flight: one thread sends, one reads, and
-    replies arrive in send order.  `execute` is one blocking round trip.
-    All three raise RemoteFailure for a lost connection or a timeout (the
-    socket's timeout, set by the caller); `read_reply` and `execute` raise
+    replies arrive in send order.  `read_reply` takes its own timeout, so
+    the reader never changes the socket's timeout under the sender.
+    `execute` is one blocking round trip.  All three raise RemoteFailure
+    for a lost connection or a timeout; `read_reply` and `execute` raise
     OpcodeError for an opcode fault, RemoteFailure for any other
     worker-side failure, and ProtocolError for a malformed or mismatched
     reply."""
@@ -190,6 +193,10 @@ class WorkerClient:
         if ftype != READY:
             raise ProtocolError(f"expected READY, got frame type {ftype}")
         self.manifest = decode_manifest(body)
+        #: bytes read past the last reply taken
+        self._buf = bytearray()
+        self._poll = select.poll()
+        self._poll.register(self.sock, select.POLLIN)
 
     def send_exec(self, opcode: str, payloads: list[bytes]) -> int:
         """Send one EXEC; returns its request id."""
@@ -200,10 +207,13 @@ class WorkerClient:
             raise RemoteFailure(f"connection lost or timeout: {exc}") from exc
         return req_id
 
-    def read_reply(self, req_id: int) -> list[bytes]:
-        """Read the next reply, which must answer `req_id`; its outputs."""
+    def read_reply(self, req_id: int, timeout: Optional[float] = None) -> list[bytes]:
+        """Read the next reply, which must answer `req_id`; its outputs.
+        With `timeout`, the whole reply must arrive within that many seconds;
+        without, the socket's own timeout bounds each read."""
         try:
-            ftype, body = recv_frame(self.sock)
+            ftype, body = self._next_frame(
+                None if timeout is None else time.monotonic() + timeout)
         except OSError as exc:  # ConnectionError and socket.timeout included
             raise RemoteFailure(f"connection lost or timeout: {exc}") from exc
         if ftype == RESULT:
@@ -224,6 +234,30 @@ class WorkerClient:
                 raise OpcodeError(message[len(OPCODE_FAULT_PREFIX):])
             raise RemoteFailure(message)
         return outputs
+
+    def _next_frame(self, until: Optional[float]) -> tuple[int, bytes]:
+        """The next frame, read ahead in chunks: with EXECs pipelined, one
+        read often brings several replies.  With `until` (a monotonic time)
+        the socket is read only once poll finds data before then."""
+        buf = self._buf
+        while True:
+            if len(buf) >= 4:
+                end = 4 + _U32.unpack_from(buf)[0]
+                if end < 5 or end > 4 + MAX_FRAME:
+                    raise ProtocolError(f"bad frame length {end - 4}")
+                if len(buf) >= end:
+                    ftype = buf[4]
+                    with memoryview(buf) as view:
+                        body = bytes(view[5:end])
+                    del buf[:end]
+                    return ftype, body
+            if until is not None and not self._poll.poll(
+                    max(until - time.monotonic(), 0.0) * 1000.0):
+                raise socket.timeout("timed out")
+            chunk = self.sock.recv(65536)
+            if not chunk:
+                raise ConnectionError("connection closed")
+            buf += chunk
 
     def execute(self, opcode: str, payloads: list[bytes], deadline_s: float) -> list[bytes]:
         with self._lock:

@@ -95,10 +95,14 @@ class LocalExecutor:
 class RemoteExecutor:
     """Executor backed by a remote worker daemon over the wire protocol.
 
-    The per-dispatch deadline is max(REMOTE_DEADLINE_S, 8 x rolling mean
-    instruction duration); transport loss surfaces as RemoteFailure and an
-    opcode fault as OpcodeError.  `execute` is one blocking round trip; a
-    remote worker's control loop pipelines on `client` instead.
+    A remote worker's loop pipelines through `send` and `read`.  The daemon
+    serves a connection in turn, so it starts a request no earlier than its
+    send or the previous reply, whichever is later: that is when the
+    request's deadline, max(REMOTE_DEADLINE_S, 8 x rolling mean service
+    time), and its service time start.  Waiting behind earlier requests in
+    the window counts toward neither.  Transport loss or a missed deadline
+    surfaces as RemoteFailure and an opcode fault as OpcodeError.
+    `execute`, one blocking round trip, has no caller in mdflow.
     """
 
     def __init__(self, host: str, port: int) -> None:
@@ -106,7 +110,11 @@ class RemoteExecutor:
             self.client = WorkerClient(host, port)
         except (OSError, ConnectionError) as exc:
             raise Unreachable(f"{host}:{port}: {exc}") from exc
+        # a send blocks until written or until `close`; `read` bounds each
+        # reply by its own deadline
+        self.client.sock.settimeout(None)
         self._durations: deque[float] = deque(maxlen=64)
+        self._last_reply = 0.0
 
     @property
     def manifest(self) -> list[tuple[str, int, int]]:
@@ -117,13 +125,27 @@ class RemoteExecutor:
             return REMOTE_DEADLINE_S
         return max(REMOTE_DEADLINE_S, 8.0 * statistics.fmean(self._durations))
 
+    def send(self, instr: MdfInstruction) -> int:
+        """Send `instr`'s EXEC; its request id."""
+        return self.client.send_exec(instr.opcode, instr.inputs)
+
+    def read(self, req_id: int, sent_at: float) -> tuple[list[bytes], float]:
+        """Read the reply to `req_id`, the oldest EXEC in flight, sent at
+        `sent_at`; its outputs and its service time in seconds."""
+        start = max(sent_at, self._last_reply)
+        try:
+            outputs = self.client.read_reply(
+                req_id, max(start + self._deadline() - time.monotonic(), 0.0))
+        finally:
+            self._last_reply = time.monotonic()
+        service = self._last_reply - start
+        self._durations.append(service)
+        return outputs, service
+
     def execute(self, desc: WorkerDescriptor, instr: MdfInstruction) -> list[bytes]:
         if desc._killed.is_set():
             raise WorkerKilled(f"worker {desc.wid} died mid-instruction")
-        t0 = time.monotonic()
-        outputs = self.client.execute(instr.opcode, instr.inputs, self._deadline())
-        self._durations.append(time.monotonic() - t0)
-        return outputs
+        return self.read(self.send(instr), time.monotonic())[0]
 
     def close(self) -> None:
         self.client.close()
@@ -135,8 +157,8 @@ class _Window:
 
     def __init__(self) -> None:
         self.cond = threading.Condition()
-        #: (req_id, gid, instr, sent_at, deadline) per EXEC sent
-        self.sent: deque[tuple[int, int, MdfInstruction, float, float]] = deque()
+        #: (req_id, gid, instr, sent_at) per EXEC sent
+        self.sent: deque[tuple[int, int, MdfInstruction, float]] = deque()
         #: the connection is gone and the window was requeued
         self.lost = False
         #: the sender has stopped: the reader exits once the window is empty
@@ -267,14 +289,14 @@ class Runtime:
                     pool.requeue(gid, instr.id)
                 self._fail(desc, exc)
                 return
-            self._finish(desc, gid, instr.id, outcome, t0)
+            self._finish(desc, gid, instr.id, outcome, time.monotonic() - t0)
             desc.state = "idle"
         desc.state = "stopped"
 
     def _remote_loop(self, desc: WorkerDescriptor) -> None:
         """A remote worker's sender: keep up to PIPELINE_DEPTH EXECs in flight
         while `_read_replies`, on a thread of its own, completes them."""
-        pool, client, window = self.pool, desc._executor.client, _Window()
+        pool, executor, window = self.pool, desc._executor, _Window()
         reader = threading.Thread(target=self._read_replies, args=(desc, window),
                                   daemon=True, name=f"mdflow-reader-{desc.wid}")
         reader.start()
@@ -295,16 +317,15 @@ class Runtime:
                     if self.comm_delay_ms > 0:
                         self._use_link()
                     sent_at = time.monotonic()
-                    req_id = client.send_exec(instr.opcode, instr.inputs)
+                    req_id = executor.send(instr)
                 except Exception as exc:
                     with contextlib.suppress(NotInFlight):
                         pool.requeue(gid, instr.id)
                     self._lose(desc, window, exc)
                     return
-                deadline = sent_at + desc._executor._deadline()
                 with window.cond:
                     if not window.lost:
-                        window.sent.append((req_id, gid, instr, sent_at, deadline))
+                        window.sent.append((req_id, gid, instr, sent_at))
                         desc.state = "busy"
                         window.cond.notify_all()
                         continue
@@ -321,7 +342,8 @@ class Runtime:
 
     def _read_replies(self, desc: WorkerDescriptor, window: _Window) -> None:
         """A remote worker's reader: the daemon answers in send order, so each
-        reply must answer the oldest EXEC in flight, within its deadline."""
+        reply must answer the oldest EXEC in flight, within the deadline that
+        `RemoteExecutor.read` sets."""
         executor = desc._executor
         try:
             while True:
@@ -330,12 +352,11 @@ class Runtime:
                         window.cond.wait()
                     if window.lost or not window.sent:
                         return
-                    req_id, gid, instr, sent_at, deadline = window.sent[0]
-                executor.client.sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+                    req_id, gid, instr, sent_at = window.sent[0]
                 try:
-                    outcome = executor.client.read_reply(req_id)
+                    outcome, busy_s = executor.read(req_id, sent_at)
                 except DETERMINISTIC_FAULTS as exc:
-                    outcome = exc
+                    outcome, busy_s = exc, 0.0
                 with window.cond:
                     if window.lost:  # requeued with the window
                         return
@@ -343,8 +364,7 @@ class Runtime:
                     if not window.sent:
                         desc.state = "idle"
                     window.cond.notify_all()
-                executor._durations.append(time.monotonic() - sent_at)
-                self._finish(desc, gid, instr.id, outcome, sent_at)
+                self._finish(desc, gid, instr.id, outcome, busy_s)
         except Exception as exc:  # the connection is lost, or delivery broke
             self._lose(desc, window, exc)
 
@@ -358,7 +378,7 @@ class Runtime:
             sent = list(window.sent)
             window.sent.clear()
             window.cond.notify_all()
-        for _, gid, instr, _, _ in reversed(sent):  # the oldest ends up first
+        for _, gid, instr, _ in reversed(sent):  # the oldest ends up first
             with contextlib.suppress(NotInFlight):  # a sibling failed the graph
                 self.pool.requeue(gid, instr.id)
         desc._executor.close()
@@ -370,11 +390,12 @@ class Runtime:
             time.sleep(self.comm_delay_ms / 1000.0)
 
     def _finish(self, desc: WorkerDescriptor, gid: int, iid: int,
-                outcome: Union[list[bytes], Exception], t0: float) -> None:
+                outcome: Union[list[bytes], Exception], busy_s: float) -> None:
         """Apply the fault policy to one execution's outcome: its outputs, or
-        the deterministic fault it raised.  Outputs complete the instruction;
-        a deterministic fault, or a wiring fault that `complete` finds, fails
-        the instruction's graph and keeps the worker."""
+        the deterministic fault it raised.  Outputs complete the instruction
+        and count `busy_s` as the worker's busy time; a deterministic fault,
+        or a wiring fault that `complete` finds, fails the instruction's
+        graph and keeps the worker."""
         if isinstance(outcome, Exception):
             self.pool.fail_graph(gid, str(outcome))
             return
@@ -383,7 +404,7 @@ class Runtime:
         except MdfError as exc:
             self.pool.fail_graph(gid, str(exc))
         desc.completed += 1
-        desc.busy_ms += (time.monotonic() - t0) * 1000.0
+        desc.busy_ms += busy_s * 1000.0
 
     def _fail(self, desc: WorkerDescriptor, exc: Exception) -> None:
         desc.state = "failed"

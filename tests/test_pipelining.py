@@ -20,6 +20,7 @@ from mdflow.protocol import (
     READY,
     RESULT,
     ProtocolError,
+    RemoteFailure,
     WorkerClient,
     WorkerServer,
     decode_exec,
@@ -63,9 +64,9 @@ def in_flight(monkeypatch):
         spy.add(self, 1)
         return req_id
 
-    def counted_read(self, req_id):
+    def counted_read(self, req_id, *args):
         try:
-            return read_reply(self, req_id)
+            return read_reply(self, req_id, *args)
         finally:
             spy.add(self, -1)
 
@@ -181,7 +182,9 @@ def test_losing_a_full_window_requeues_it_and_fails_the_worker_once(how, in_flig
     assert failures == [remote]
 
 
-def test_out_of_order_reply_requeues_the_window_and_fails_the_worker():
+@pytest.mark.parametrize("reply", ["out_of_order", "none", "half_a_frame"])
+def test_a_bad_reply_requeues_the_window_and_fails_the_worker(reply, monkeypatch):
+    monkeypatch.setattr(runtime_mod, "REMOTE_DEADLINE_S", 0.3)
     listener = socket.create_server(("127.0.0.1", 0))
     window = 4
     all_sent = threading.Event()
@@ -193,8 +196,11 @@ def test_out_of_order_reply_requeues_the_window_and_fails_the_worker():
             send_frame(conn, READY, encode_manifest([("inc", 1, 1)]))
             ids = [decode_exec(recv_frame(conn)[1])[0] for _ in range(window)]
             all_sent.set()
-            # the second request answered first
-            send_frame(conn, RESULT, encode_payload_list(ids[1], [codec.encode(0)]))
+            if reply == "out_of_order":  # the second request answered first
+                send_frame(conn, RESULT, encode_payload_list(ids[1], [codec.encode(0)]))
+            elif reply == "half_a_frame":  # the first reply, cut short
+                body = encode_payload_list(ids[0], [codec.encode(1)])
+                conn.sendall((len(body) + 1).to_bytes(4, "little") + bytes([RESULT]))
             with contextlib.suppress(OSError):
                 conn.recv(1)  # until the client closes
 
@@ -222,11 +228,42 @@ def test_out_of_order_reply_requeues_the_window_and_fails_the_worker():
         listener.close()
     assert not daemon.is_alive()
     assert remote.state == "failed" and remote.completed == 0
-    assert len(failures) == 1 and isinstance(failures[0], ProtocolError)
+    expected = ProtocolError if reply == "out_of_order" else RemoteFailure
+    assert len(failures) == 1 and isinstance(failures[0], expected)
     # the whole window; the sender may also requeue one it fetched again
     # before it saw the loss
     assert set(requeued) == {(gid, 1) for gid in gids}
     assert_oracle_exactly_once(pool, s, reg, window)
+
+
+def test_a_deadline_runs_from_when_the_daemon_starts_the_request(monkeypatch, in_flight):
+    """The daemon serves a full window in turn, so its last EXEC is answered
+    after about PIPELINE_DEPTH x the opcode's cost, well past the deadline
+    floor.  Only the request's own service time counts toward its deadline,
+    and toward the worker's busy time."""
+    monkeypatch.setattr(runtime_mod, "REMOTE_DEADLINE_S", 0.5)
+    reg = default_registry(60.0)
+    srv = WorkerServer(reg).start()
+    failures = []
+    pool = TaskPool()
+    runtime = Runtime(pool, reg, failure_cb=lambda d, e: failures.append(e))
+    desc = runtime.recruit((srv.host, srv.port))
+    s = Farm(Seq("f"))
+    t = compile_skeleton(s)
+    for i in range(24):
+        pool.submit_task(t, codec.encode(i))
+    t0 = time.monotonic()
+    runtime.start()
+    try:
+        assert pool.wait_quiescent(10)
+        wall_ms = (time.monotonic() - t0) * 1000.0
+    finally:
+        runtime.shutdown()
+        srv.stop()
+    assert failures == [] and desc.state == "stopped"
+    assert in_flight.max == PIPELINE_DEPTH
+    assert_oracle_exactly_once(pool, s, reg, 24)
+    assert desc.completed == 24 and 24 * 30.0 <= desc.busy_ms <= wall_ms
 
 
 def test_manager_removes_a_remote_worker_with_a_full_window(in_flight):

@@ -186,17 +186,17 @@ class WorkerClient:
         self.sock.settimeout(connect_timeout)
         self._lock = threading.Lock()
         self._req_ids = itertools.count(1)
+        #: bytes read past the last frame taken
+        self._buf = bytearray()
+        self._poll = select.poll()
+        self._poll.register(self.sock, select.POLLIN)
         send_frame(self.sock, HELLO, _U32.pack(PROTO_VERSION))
-        ftype, body = recv_frame(self.sock)
+        ftype, body = self._next_frame(None)
         if ftype == ERROR:
             raise ProtocolError(body.decode("utf-8", "replace"))
         if ftype != READY:
             raise ProtocolError(f"expected READY, got frame type {ftype}")
         self.manifest = decode_manifest(body)
-        #: bytes read past the last reply taken
-        self._buf = bytearray()
-        self._poll = select.poll()
-        self._poll.register(self.sock, select.POLLIN)
 
     def send_exec(self, opcode: str, payloads: list[bytes]) -> int:
         """Send one EXEC; returns its request id."""

@@ -4,7 +4,8 @@ scenarios, fault injection, and the sequential oracle entry point.
 `run_experiment` and `bench_adapt` shape the result of one experiment
 session: compile, build the pool, runtime and manager, recruit, submit the
 stream, then follow a single timeline that applies the scripted kills,
-overloads and the contract arming when due and samples throughput and
+overloads and the contract arming when due, runs the manager's control tick
+every `tick_s` when the run has a contract, and samples throughput and
 worker count every SAMPLE_S until the pool drains or the run's time is up.
 `ExperimentConfig.from_pairs` turns `key = value` pairs (a config file, or
 command line flags) into the one config both take.
@@ -26,7 +27,7 @@ from typing import Any, Callable, Optional, Sequence
 from . import codec
 from .compiler import compile_skeleton, normalize, parse_skeleton
 from .core import MdfGraph, OpcodeRegistry
-from .manager import Contract, Manager, Throughput, parse_contract
+from .manager import Contract, Manager, SensorUnavailable, Throughput, parse_contract
 from .ops import default_registry
 from .oracle import eval_skeleton, eval_workflow
 from .runtime import Runtime, WorkerSpec
@@ -38,6 +39,10 @@ EXIT_INFRA = 3
 
 #: seconds between the session's throughput / worker-count samples
 SAMPLE_S = 0.5
+
+#: efficiency gain across a worker-count step that grain_csv still calls
+#: monotone non-increasing
+NOISE_EPSILON = 0.03
 
 
 @dataclass
@@ -137,9 +142,10 @@ def _run_session(config: ExperimentConfig, registry: Optional[OpcodeRegistry],
                  inputs: Optional[Sequence[Any]],
                  duration_s: Optional[float]) -> _Session:
     """Compile, recruit, submit the stream, then follow one timeline: apply
-    each scripted kill, overload and the contract arming when due, and sample
-    every SAMPLE_S until the pool drains or `duration_s` (the drain timeout
-    when None) runs out."""
+    each scripted kill, overload and the contract arming when due, tick the
+    manager every `config.tick_s` when there is a contract, and sample every
+    SAMPLE_S until the pool drains or `duration_s` (the drain timeout when
+    None) runs out."""
     for _, i, _ in config.overload_script:
         if config.workers[i] != "local":
             raise ValueError(f"overload entry for worker {i}: only local workers slow down")
@@ -153,7 +159,7 @@ def _run_session(config: ExperimentConfig, registry: Optional[OpcodeRegistry],
     runtime = Runtime(pool, registry, comm_delay_ms=config.comm_delay_ms,
                       required_opcodes=opcodes)
     manager = Manager(runtime, pool, recruit_specs=list(config.spare_workers),
-                      tick_s=config.tick_s, window_s=config.window_s)
+                      window_s=config.window_s)
     descriptors = [runtime.recruit(spec) for spec in config.workers]
 
     def overload(i: int, factor: float) -> None:
@@ -172,30 +178,35 @@ def _run_session(config: ExperimentConfig, registry: Optional[OpcodeRegistry],
 
     samples: list[tuple[float, float, int]] = []
     runtime.start()
-    if config.contract is not None:
-        manager.start()
     try:
         t_start = time.time()
         for task in inputs:
             pool.submit_task(template, codec.encode(task))
         end = t_start + (duration_s if duration_s is not None else config.drain_timeout_s)
         next_sample = t_start
+        next_tick = t_start + config.tick_s if config.contract is not None else float("inf")
         while True:
             now = time.time()
             while script and t_start + script[0][0] <= now:
                 script.pop(0)[1]()
+            if now >= next_tick:
+                try:
+                    manager.control_tick()
+                except SensorUnavailable as exc:
+                    manager.events.append("sensor_error", str(exc))
+                next_tick = time.time() + config.tick_s
             if now >= next_sample:
                 samples.append((now - t_start, pool.throughput(config.window_s),
                                 runtime.active_count()))
                 next_sample = now + SAMPLE_S
             if now >= end:
                 break
-            wake = min(next_sample, end, t_start + script[0][0] if script else end)
+            wake = min(next_sample, next_tick, end,
+                       t_start + script[0][0] if script else end)
             if pool.wait_quiescent(max(0.0, wake - time.time())):
                 break
         t_end = time.time()
     finally:
-        manager.stop()
         pool.close()
         runtime.shutdown()
     return _Session(pool, manager, template_cost_ms(template, registry), len(descriptors),
@@ -256,14 +267,14 @@ def bench_grain(grains_ms: Sequence[float], worker_counts: Sequence[int],
     return rows
 
 
-def grain_csv(rows: list[dict], noise_epsilon: float = 0.03) -> str:
+def grain_csv(rows: list[dict]) -> str:
     lines = ["grain,workers,efficiency"]
     for row in rows:
         lines.append(f"{row['grain']},{row['workers']},{row['efficiency']:.4f}")
     for grain in sorted({r["grain"] for r in rows}):
         series = [r["efficiency"] for r in sorted(
             (r for r in rows if r["grain"] == grain), key=lambda r: r["workers"])]
-        monotone = all(b <= a + noise_epsilon for a, b in zip(series, series[1:]))
+        monotone = all(b <= a + NOISE_EPSILON for a, b in zip(series, series[1:]))
         lines.append(f"# monotone_nonincreasing grain={grain}: {monotone}")
     return "\n".join(lines) + "\n"
 

@@ -24,6 +24,8 @@ from .core import MdfError
 from .runtime import Runtime, WorkerSpec
 from .taskpool import TaskPool
 
+#: ticks after a reconfiguration before the manager acts again
+COOLDOWN_TICKS = 2
 
 class UnmonitorableVariable(MdfError):
     pass
@@ -213,22 +215,20 @@ class Manager:
 
     At most one reconfiguration is in flight at a time; one reconfiguration
     (or one escalation) per violation episode, plus a cooldown of
-    `cooldown_ticks` ticks after any reconfiguration.
+    COOLDOWN_TICKS ticks after any reconfiguration.  The manager runs no
+    thread: its owner calls `control_tick` on its own timeline.
     """
 
     def __init__(self, runtime: Runtime, pool: TaskPool,
                  recruit_specs: Sequence[WorkerSpec] = (),
                  plans: Optional[list[Plan]] = None,
-                 tick_s: float = 1.0, window_s: float = 10.0,
-                 cooldown_ticks: int = 2,
+                 window_s: float = 10.0,
                  escalation_cb: Optional[Callable[[EscalationEvent], None]] = None) -> None:
         self.runtime = runtime
         self.pool = pool
         self._spare_specs = list(recruit_specs)
         self.plans = plans if plans is not None else linear_scaling_plans()
-        self.tick_s = tick_s
         self.window_s = window_s
-        self.cooldown_ticks = cooldown_ticks
         self.events = EventLog()
         self.escalation_cb = escalation_cb
         self.escalations: list[EscalationEvent] = []
@@ -236,8 +236,6 @@ class Manager:
         self._cooldown = 0
         self._episode: Optional[dict] = None
         self._reconfig_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
         self._measures: dict[str, Callable[[], Sequence[float]]] = {}
         self.register_measure("throughput", lambda: [self.pool.throughput(self.window_s)])
         self.register_measure("workers", lambda: [float(self.runtime.active_count())])
@@ -396,7 +394,7 @@ class Manager:
         if isinstance(contract, ParDegree):
             self._enforce_degree(contract)
             self._episode["acted"] = True
-            self._cooldown = self.cooldown_ticks
+            self._cooldown = COOLDOWN_TICKS
             return
         plan, verdicts = self.select_plan(self.plans, bindings, contract)
         if plan is None:
@@ -414,7 +412,7 @@ class Manager:
         self.events.append("plan", {"selected": plan.name, "verdicts": verdicts})
         self._execute_plan(plan)
         self._episode["acted"] = True
-        self._cooldown = self.cooldown_ticks
+        self._cooldown = COOLDOWN_TICKS
 
     def _execute_plan(self, plan: Plan) -> None:
         for action, k in plan.actions:
@@ -446,23 +444,3 @@ class Manager:
             except WouldEmptyPool as exc:
                 self.events.append("action_failed", {"action": "remove_worker",
                                                      "error": str(exc)})
-
-    def start(self) -> None:
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="mdflow-manager")
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.tick_s):
-            try:
-                self.control_tick()
-            except SensorUnavailable as exc:
-                self.events.append("sensor_error", str(exc))

@@ -13,6 +13,12 @@ the order their requests were sent.  A FAIL message starting with
 OPCODE_FAULT_PREFIX is an opcode fault, which the client raises as
 OpcodeError.  Protocol version 1.  A version mismatch or malformed frame (a
 non-UTF-8 name included) gets an ERROR frame and the connection is closed.
+
+Each end reads a socket through one FrameReader, which reads ahead: the
+daemon takes pipelined EXECs, and the client replies, several to a recv.
+Every client read has a deadline of its own (CONNECT_TIMEOUT_S for the
+handshake, the caller's timeout for a reply), so the socket's timeout
+bounds only sends.
 """
 from __future__ import annotations
 
@@ -45,6 +51,9 @@ _U64 = struct.Struct("<Q")
 
 MAX_FRAME = 64 * 1024 * 1024
 
+#: bound on connecting and on the whole HELLO/READY handshake (seconds)
+CONNECT_TIMEOUT_S = 5.0
+
 
 class ProtocolError(MdfError):
     pass
@@ -73,25 +82,42 @@ def send_frame(sock: socket.socket, ftype: int, body: bytes = b"") -> None:
     sock.sendall(_U32.pack(1 + len(body)) + bytes([ftype]) + body)
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
-    header = _recv_exact(sock, 4)
-    length = _U32.unpack(header)[0]
-    if length < 1 or length > MAX_FRAME:
-        raise ProtocolError(f"bad frame length {length}")
-    data = _recv_exact(sock, length)
-    return data[0], data[1:]
+class FrameReader:
+    """Reads the frames arriving on one socket, ahead in chunks: with EXECs
+    pipelined, one read often brings several frames.  A socket has one
+    reader, and nothing else reads it."""
 
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        #: bytes read past the last frame taken
+        self._buf = bytearray()
+        self._poll = select.poll()
+        self._poll.register(sock, select.POLLIN)
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError("connection closed")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+    def next(self, until: Optional[float] = None) -> tuple[int, bytes]:
+        """The next frame's type and body.  With `until` (a monotonic time)
+        the socket is read only once poll finds data before then, else
+        socket.timeout; without, the socket's own timeout bounds each read.
+        A closed connection raises ConnectionError."""
+        buf = self._buf
+        while True:
+            if len(buf) >= 4:
+                end = 4 + _U32.unpack_from(buf)[0]
+                if end < 5 or end > 4 + MAX_FRAME:
+                    raise ProtocolError(f"bad frame length {end - 4}")
+                if len(buf) >= end:
+                    ftype = buf[4]
+                    with memoryview(buf) as view:
+                        body = bytes(view[5:end])
+                    del buf[:end]
+                    return ftype, body
+            if until is not None and not self._poll.poll(
+                    max(until - time.monotonic(), 0.0) * 1000.0):
+                raise socket.timeout("timed out")
+            chunk = self.sock.recv(65536)
+            if not chunk:
+                raise ConnectionError("connection closed")
+            buf += chunk
 
 
 def _decode_name(raw: bytes) -> str:
@@ -172,31 +198,33 @@ class WorkerClient:
 
     `send_exec` and `read_reply` split an EXEC round trip so that a caller
     can keep several requests in flight: one thread sends, one reads, and
-    replies arrive in send order.  `read_reply` takes its own timeout, so
-    the reader never changes the socket's timeout under the sender.
-    `execute` is one blocking round trip.  All three raise RemoteFailure
-    for a lost connection or a timeout; `read_reply` and `execute` raise
-    OpcodeError for an opcode fault, RemoteFailure for any other
-    worker-side failure, and ProtocolError for a malformed or mismatched
-    reply."""
+    replies arrive in send order.  `execute` is one blocking round trip.
+    Every read has its own deadline: CONNECT_TIMEOUT_S for the handshake,
+    the caller's timeout for a reply.  The socket's timeout, set once per
+    connection (CONNECT_TIMEOUT_S unless the owner changes it), bounds only
+    sends, so a reader never changes it under a sender.  All three raise
+    RemoteFailure for a lost connection or a timeout; `read_reply` and
+    `execute` raise OpcodeError for an opcode fault, RemoteFailure for any
+    other worker-side failure, and ProtocolError for a malformed or
+    mismatched reply."""
 
-    def __init__(self, host: str, port: int, connect_timeout: float = 5.0) -> None:
-        self.sock = socket.create_connection((host, port), timeout=connect_timeout)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock.settimeout(connect_timeout)
-        self._lock = threading.Lock()
-        self._req_ids = itertools.count(1)
-        #: bytes read past the last frame taken
-        self._buf = bytearray()
-        self._poll = select.poll()
-        self._poll.register(self.sock, select.POLLIN)
-        send_frame(self.sock, HELLO, _U32.pack(PROTO_VERSION))
-        ftype, body = self._next_frame(None)
-        if ftype == ERROR:
-            raise ProtocolError(body.decode("utf-8", "replace"))
-        if ftype != READY:
-            raise ProtocolError(f"expected READY, got frame type {ftype}")
-        self.manifest = decode_manifest(body)
+    def __init__(self, host: str, port: int) -> None:
+        self.sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
+        try:
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._lock = threading.Lock()
+            self._req_ids = itertools.count(1)
+            self._frames = FrameReader(self.sock)
+            send_frame(self.sock, HELLO, _U32.pack(PROTO_VERSION))
+            ftype, body = self._frames.next(time.monotonic() + CONNECT_TIMEOUT_S)
+            if ftype == ERROR:
+                raise ProtocolError(body.decode("utf-8", "replace"))
+            if ftype != READY:
+                raise ProtocolError(f"expected READY, got frame type {ftype}")
+            self.manifest = decode_manifest(body)
+        except BaseException:
+            self.close()
+            raise
 
     def send_exec(self, opcode: str, payloads: list[bytes]) -> int:
         """Send one EXEC; returns its request id."""
@@ -207,13 +235,11 @@ class WorkerClient:
             raise RemoteFailure(f"connection lost or timeout: {exc}") from exc
         return req_id
 
-    def read_reply(self, req_id: int, timeout: Optional[float] = None) -> list[bytes]:
-        """Read the next reply, which must answer `req_id`; its outputs.
-        With `timeout`, the whole reply must arrive within that many seconds;
-        without, the socket's own timeout bounds each read."""
+    def read_reply(self, req_id: int, timeout: float) -> list[bytes]:
+        """Read the next reply, which must answer `req_id` and arrive whole
+        within `timeout` seconds; its outputs."""
         try:
-            ftype, body = self._next_frame(
-                None if timeout is None else time.monotonic() + timeout)
+            ftype, body = self._frames.next(time.monotonic() + timeout)
         except OSError as exc:  # ConnectionError and socket.timeout included
             raise RemoteFailure(f"connection lost or timeout: {exc}") from exc
         if ftype == RESULT:
@@ -235,34 +261,9 @@ class WorkerClient:
             raise RemoteFailure(message)
         return outputs
 
-    def _next_frame(self, until: Optional[float]) -> tuple[int, bytes]:
-        """The next frame, read ahead in chunks: with EXECs pipelined, one
-        read often brings several replies.  With `until` (a monotonic time)
-        the socket is read only once poll finds data before then."""
-        buf = self._buf
-        while True:
-            if len(buf) >= 4:
-                end = 4 + _U32.unpack_from(buf)[0]
-                if end < 5 or end > 4 + MAX_FRAME:
-                    raise ProtocolError(f"bad frame length {end - 4}")
-                if len(buf) >= end:
-                    ftype = buf[4]
-                    with memoryview(buf) as view:
-                        body = bytes(view[5:end])
-                    del buf[:end]
-                    return ftype, body
-            if until is not None and not self._poll.poll(
-                    max(until - time.monotonic(), 0.0) * 1000.0):
-                raise socket.timeout("timed out")
-            chunk = self.sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("connection closed")
-            buf += chunk
-
     def execute(self, opcode: str, payloads: list[bytes], deadline_s: float) -> list[bytes]:
         with self._lock:
-            self.sock.settimeout(deadline_s)
-            return self.read_reply(self.send_exec(opcode, payloads))
+            return self.read_reply(self.send_exec(opcode, payloads), deadline_s)
 
     def close(self) -> None:
         """Close the connection; a thread blocked in `read_reply` wakes with
@@ -277,10 +278,11 @@ class WorkerServer:
     """The remote data-flow interpreter daemon.
 
     Accepts connections and serves each one strictly in turn: it executes
-    one EXEC, answers it, then reads the next, so a client that pipelines
-    EXECs gets its replies in send order.  Parallelism comes from recruiting
-    more workers.  `stop` closes the listener and shuts down every open
-    connection.
+    one EXEC, answers it, then takes the next, so a client that pipelines
+    EXECs gets its replies in send order.  A connection's FrameReader reads
+    pipelined EXECs ahead, several to a recv.  Parallelism comes from
+    recruiting more workers.  `stop` closes the listener and shuts down
+    every open connection.
     """
 
     def __init__(self, registry: OpcodeRegistry, host: str = "127.0.0.1",
@@ -333,10 +335,11 @@ class WorkerServer:
     def _serve_conn(self, conn: socket.socket) -> None:
         conn.settimeout(None)
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        frames = FrameReader(conn)
         try:
             while not self._stopping.is_set():
                 try:
-                    self._handle(conn, *recv_frame(conn))
+                    self._handle(conn, *frames.next())
                 except ProtocolError as exc:
                     send_frame(conn, ERROR, str(exc).encode("utf-8"))
                     return

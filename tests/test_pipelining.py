@@ -19,6 +19,7 @@ from mdflow.oracle import eval_skeleton
 from mdflow.protocol import (
     READY,
     RESULT,
+    FrameReader,
     ProtocolError,
     RemoteFailure,
     WorkerClient,
@@ -26,7 +27,6 @@ from mdflow.protocol import (
     decode_exec,
     encode_manifest,
     encode_payload_list,
-    recv_frame,
     send_frame,
 )
 from mdflow.runtime import PIPELINE_DEPTH, Runtime
@@ -192,9 +192,10 @@ def test_a_bad_reply_requeues_the_window_and_fails_the_worker(reply, monkeypatch
     def fake_daemon():
         conn, _ = listener.accept()
         with conn:
-            recv_frame(conn)  # HELLO
+            frames = FrameReader(conn)
+            frames.next()  # HELLO
             send_frame(conn, READY, encode_manifest([("inc", 1, 1)]))
-            ids = [decode_exec(recv_frame(conn)[1])[0] for _ in range(window)]
+            ids = [decode_exec(frames.next()[1])[0] for _ in range(window)]
             all_sent.set()
             if reply == "out_of_order":  # the second request answered first
                 send_frame(conn, RESULT, encode_payload_list(ids[1], [codec.encode(0)]))

@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdflow import codec
+from mdflow import codec, protocol
 from mdflow.compiler import Seq, compile_skeleton
 from mdflow.core import OpcodeError, OpcodeRegistry
 from mdflow.ops import default_registry
@@ -20,16 +20,19 @@ from mdflow.protocol import (
     MAX_FRAME,
     PROTO_VERSION,
     READY,
+    RESULT,
+    FrameReader,
     ProtocolError,
     RemoteFailure,
     WorkerClient,
     WorkerServer,
+    decode_payload_list,
     encode_exec,
     encode_manifest,
-    recv_frame,
+    encode_payload_list,
     send_frame,
 )
-from mdflow.runtime import OpcodeManifestMismatch, Runtime
+from mdflow.runtime import OpcodeManifestMismatch, Runtime, Unreachable
 from mdflow.taskpool import TaskPool
 
 
@@ -80,7 +83,7 @@ def test_daemon_charges_opcode_cost():
 def test_version_mismatch_rejected(server):
     sock = socket.create_connection((server.host, server.port), timeout=5)
     send_frame(sock, HELLO, struct.pack("<I", PROTO_VERSION + 1))
-    ftype, body = recv_frame(sock)
+    ftype, body = FrameReader(sock).next()
     assert ftype == ERROR
     # server closes the connection afterwards
     assert sock.recv(1) == b""
@@ -90,7 +93,7 @@ def test_version_mismatch_rejected(server):
 def test_malformed_frame_gets_error_and_close(server):
     sock = socket.create_connection((server.host, server.port), timeout=5)
     send_frame(sock, 99, b"garbage")
-    ftype, _ = recv_frame(sock)
+    ftype, _ = FrameReader(sock).next()
     assert ftype == ERROR
     assert sock.recv(1) == b""
     sock.close()
@@ -98,11 +101,12 @@ def test_malformed_frame_gets_error_and_close(server):
 
 def test_non_utf8_opcode_name_gets_error_frame(server):
     sock = socket.create_connection((server.host, server.port), timeout=5)
+    frames = FrameReader(sock)
     send_frame(sock, HELLO, struct.pack("<I", PROTO_VERSION))
-    assert recv_frame(sock)[0] == READY
+    assert frames.next()[0] == READY
     name = b"\xff\xfe"
     send_frame(sock, EXEC, struct.pack("<QI", 1, len(name)) + name + struct.pack("<I", 0))
-    assert recv_frame(sock)[0] == ERROR
+    assert frames.next()[0] == ERROR
     assert sock.recv(1) == b""
     sock.close()
     client = WorkerClient(server.host, server.port)  # the daemon still serves
@@ -160,16 +164,17 @@ def test_fuzzed_frames_get_error_or_fail_and_the_daemon_keeps_serving():
     @given(frames=st.lists(_fuzz_frames, min_size=1, max_size=4))
     def check(frames):
         sock = socket.create_connection((srv.host, srv.port), timeout=5)
+        reader = FrameReader(sock)
         try:
             send_frame(sock, HELLO, struct.pack("<I", PROTO_VERSION))
-            assert recv_frame(sock)[0] == READY
+            assert reader.next()[0] == READY
             with contextlib.suppress(OSError):  # the daemon may close first
                 sock.sendall(b"".join(frames))  # back to back, as a pipelining client
                 sock.shutdown(socket.SHUT_WR)
             replies = []
             with contextlib.suppress(ConnectionError):  # a close, or a reset
                 while True:
-                    replies.append(recv_frame(sock)[0])
+                    replies.append(reader.next()[0])
         finally:
             sock.close()
         assert set(replies) <= {ERROR, FAIL}
@@ -217,10 +222,11 @@ def test_malformed_fail_frames_are_protocol_errors():
     def fake_daemon():
         conn, _ = listener.accept()
         with conn:
-            recv_frame(conn)  # HELLO
+            frames = FrameReader(conn)
+            frames.next()  # HELLO
             send_frame(conn, READY, encode_manifest([]))
             for body in fail_bodies:
-                assert recv_frame(conn)[0] == EXEC
+                assert frames.next()[0] == EXEC
                 send_frame(conn, FAIL, body)
 
     daemon = threading.Thread(target=fake_daemon, daemon=True)
@@ -235,6 +241,90 @@ def test_malformed_fail_frames_are_protocol_errors():
         daemon.join(5.0)
         listener.close()
     assert not daemon.is_alive()
+
+
+# -- the shared frame reader keeps frame boundaries when it reads ahead ----
+
+def test_daemon_reads_pipelined_frames_from_one_write(server):
+    sock = socket.create_connection((server.host, server.port), timeout=5)
+    reader = FrameReader(sock)
+    try:
+        sock.sendall(_frame(HELLO, struct.pack("<I", PROTO_VERSION)) + b"".join(
+            _frame(EXEC, encode_exec(rid, "inc", [codec.encode(rid)])) for rid in (1, 2, 3)))
+        assert reader.next()[0] == READY
+        for rid in (1, 2, 3):
+            ftype, body = reader.next()
+            assert ftype == RESULT
+            assert decode_payload_list(body) == (rid, [codec.encode(rid + 1)])
+    finally:
+        sock.close()
+
+
+def test_read_reply_takes_a_reply_written_one_byte_at_a_time():
+    listener = socket.create_server(("127.0.0.1", 0))
+    output = codec.encode("a reply in pieces")
+
+    def fake_daemon():
+        conn, _ = listener.accept()
+        with conn:
+            frames = FrameReader(conn)
+            frames.next()  # HELLO
+            send_frame(conn, READY, encode_manifest([]))
+            rid = struct.unpack_from("<Q", frames.next()[1])[0]
+            body = encode_payload_list(rid, [output])
+            for byte in _frame(RESULT, body):
+                conn.sendall(bytes([byte]))
+                time.sleep(0.001)
+            with contextlib.suppress(OSError):
+                conn.recv(1)  # until the client closes
+
+    daemon = threading.Thread(target=fake_daemon, daemon=True)
+    daemon.start()
+    client = WorkerClient(*listener.getsockname())
+    try:
+        assert client.read_reply(client.send_exec("echo", [output]), 5.0) == [output]
+    finally:
+        client.close()
+        daemon.join(5.0)
+        listener.close()
+    assert not daemon.is_alive()
+
+
+def test_exec_then_bad_length_in_one_write_gets_result_then_error_and_close(server):
+    sock = socket.create_connection((server.host, server.port), timeout=5)
+    reader = FrameReader(sock)
+    try:
+        send_frame(sock, HELLO, struct.pack("<I", PROTO_VERSION))
+        assert reader.next()[0] == READY
+        sock.sendall(_frame(EXEC, encode_exec(7, "inc", [codec.encode(1)])) + _U32.pack(0))
+        ftype, body = reader.next()
+        assert ftype == RESULT and decode_payload_list(body) == (7, [codec.encode(2)])
+        assert reader.next()[0] == ERROR
+        with pytest.raises(ConnectionError):
+            reader.next()
+    finally:
+        sock.close()
+
+
+def test_handshake_is_bounded_by_connect_timeout(monkeypatch):
+    monkeypatch.setattr(protocol, "CONNECT_TIMEOUT_S", 0.3)
+    listener = socket.create_server(("127.0.0.1", 0))
+    accepted = []
+    silent = threading.Thread(target=lambda: accepted.append(listener.accept()[0]),
+                              daemon=True)
+    silent.start()
+    runtime = Runtime(TaskPool(), default_registry())
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(Unreachable):
+            runtime.recruit(listener.getsockname())
+        elapsed = time.monotonic() - t0
+    finally:
+        silent.join(5.0)
+        for conn in accepted:
+            conn.close()
+        listener.close()
+    assert accepted and 0.25 <= elapsed < 1.5
 
 
 def test_execute_deadline(server):

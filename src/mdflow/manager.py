@@ -27,6 +27,7 @@ from .taskpool import TaskPool
 #: ticks after a reconfiguration before the manager acts again
 COOLDOWN_TICKS = 2
 
+
 class UnmonitorableVariable(MdfError):
     pass
 

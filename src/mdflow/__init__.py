@@ -31,7 +31,6 @@ from .compiler import (
     Skeleton,
     build_map_graph,
     compile_skeleton,
-    link_custom,
     normalize,
     parse_skeleton,
 )
@@ -55,7 +54,7 @@ __all__ = [
     "OpcodeRegistry", "canonical_renumber", "dump", "is_fireable",
     "make_instruction", "parse_dump", "store_token", "validate_graph",
     "Custom", "Farm", "Pipe", "Seq", "Skeleton", "build_map_graph",
-    "compile_skeleton", "link_custom", "normalize", "parse_skeleton",
+    "compile_skeleton", "normalize", "parse_skeleton",
     "ResultRecord", "TaskPool", "Runtime", "WorkerDescriptor", "WorkerServer",
     "EventLog", "Manager", "ParDegree", "Plan", "QoSContract", "Throughput",
     "linear_scaling_plans", "Future", "WorkflowEngine", "load_workflow",

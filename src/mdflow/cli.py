@@ -19,6 +19,7 @@ import sys
 import threading
 
 from .harness import (
+    EXIT_ESCALATED,
     EXIT_INFRA,
     ExperimentConfig,
     bench_adapt,
@@ -117,7 +118,7 @@ def cmd_bench_adapt(args: argparse.Namespace) -> int:
             json.dump(doc, fh, indent=2)
     print(f"emitted {report.emitted}, reconfigurations {len(report.reconfigurations)}, "
           f"escalations {len(report.escalations)}")
-    return 2 if report.escalations else 0
+    return EXIT_ESCALATED if report.escalations else 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

@@ -4,12 +4,14 @@ The grammar is seq / pipe / farm plus programmer-defined Custom graphs.
 Compilation follows the pre-compile scheme: a seq leaf becomes one
 instruction whose destination is the continuation, a farm compiles to its
 worker's graph unchanged (farming affects scheduling, never graph shape),
-and a pipe wires stage one's output to stage two's input instruction.
+and a pipe wires stage one's output to stage two's input instruction.  A
+programmer's graph enters a program only as a Custom node: it is validated
+and spliced in with its external output wired to the node's continuation.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -34,10 +36,6 @@ class InvalidCustomGraph(MdfError):
 
 class NotNormalizable(MdfError):
     """Custom nodes have opaque semantics: no normal-form rewrite exists."""
-
-
-class NoExternalDest(MdfError):
-    pass
 
 
 class SkeletonSyntaxError(MdfError):
@@ -146,29 +144,6 @@ def normalize(s: Skeleton) -> Skeleton:
     """Rewrite to normal form: a farm whose single worker sequentially
     composes all Seq opcodes of s left to right."""
     return Farm(Seq(chain_opcode(seq_leaves(s))))
-
-
-def link_custom(g: MdfGraph, successor: Dest) -> MdfGraph:
-    """Replace g's unique external Dest with `successor`.
-
-    Used to wire a programmer-defined graph in front of another graph.  The
-    result is re-validated; the output-uniqueness rule is waived when the
-    successor is internal (the combined graph owns the external output).
-    """
-    externals = g.external_dests()
-    if not externals:
-        raise NoExternalDest("graph has no external destination")
-    iid, k = externals[0]
-    instrs = {i: replace(instr, inputs=list(instr.inputs), dests=list(instr.dests))
-              for i, instr in g.instructions.items()}
-    instrs[iid].dests[k] = successor
-    linked = MdfGraph(instrs, g.input_id, gid=g.gid)
-    violations = validate_graph(linked, require_output=successor.is_external)
-    violations = [v for v in violations
-                  if not (v.startswith(("DanglingDest", "ForeignDest")) and not successor.is_external)]
-    if violations:
-        raise InvalidCustomGraph(str(violations))
-    return linked
 
 
 def build_map_graph(split: str, worker: str, merge: str, parts: int,

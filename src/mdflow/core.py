@@ -147,11 +147,12 @@ class MdfGraph:
         return found
 
 
-def validate_graph(g: MdfGraph, require_output: bool = True) -> list[str]:
+def validate_graph(g: MdfGraph) -> list[str]:
     """Check graph invariants; returns a list of violations (empty = ok).
 
-    require_output=False waives the single-external-output rule, used after
-    a custom graph has been linked into a larger one.
+    An instruction that sends to the external output sends nowhere else
+    (MixedOutput): the graph retires on its output token, so a token routed
+    beside it would be dropped with no record.
     """
     violations: list[str] = []
     if g.input_id not in g.instructions:
@@ -165,6 +166,8 @@ def validate_graph(g: MdfGraph, require_output: bool = True) -> list[str]:
             violations.append(f"ZeroArity({iid})")
         if not instr.dests:
             violations.append(f"EmptyDests({iid})")
+        if len(instr.dests) > 1 and any(d.is_external for d in instr.dests):
+            violations.append(f"MixedOutput({iid})")
         for d in instr.dests:
             if d.is_external:
                 continue
@@ -182,7 +185,7 @@ def validate_graph(g: MdfGraph, require_output: bool = True) -> list[str]:
     externals = g.external_dests()
     if len(externals) > 1:
         violations.append("MultipleOutputs")
-    elif require_output and not externals:
+    elif not externals:
         violations.append("NoOutput")
     # single writer per (instruction, slot)
     seen: set[tuple[int, int]] = set()
@@ -390,13 +393,6 @@ class OpcodeRegistry:
             raise ArityMismatch(f"{name}: arities must be >= 1")
         self._ops[name] = Opcode(name, fn, in_arity, out_arity, cost_ms)
         self._chains.clear()
-
-    def __contains__(self, name: str) -> bool:
-        try:
-            self.resolve(name)
-            return True
-        except UnknownOpcode:
-            return False
 
     def names(self) -> list[str]:
         return sorted(self._ops)

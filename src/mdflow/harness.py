@@ -7,6 +7,8 @@ stream, then follow a single timeline that applies the scripted kills,
 overloads and the contract arming when due, runs the manager's control tick
 every `tick_s` when the run has a contract, and samples throughput and
 worker count every SAMPLE_S until the pool drains or the run's time is up.
+The tick handles a broken contract and an unreadable measure itself, and
+logs both in the manager's event log, which the reports carry.
 `ExperimentConfig.from_pairs` turns `key = value` pairs (a config file, or
 command line flags) into the one config both take.
 
@@ -27,7 +29,7 @@ from typing import Any, Callable, Optional, Sequence
 from . import codec
 from .compiler import compile_skeleton, normalize, parse_skeleton
 from .core import MdfGraph, OpcodeRegistry
-from .manager import Contract, Manager, SensorUnavailable, Throughput, parse_contract
+from .manager import Contract, Manager, Throughput, parse_contract
 from .ops import default_registry
 from .oracle import eval_skeleton, eval_workflow
 from .runtime import Runtime, WorkerSpec
@@ -190,10 +192,7 @@ def _run_session(config: ExperimentConfig, registry: Optional[OpcodeRegistry],
             while script and t_start + script[0][0] <= now:
                 script.pop(0)[1]()
             if now >= next_tick:
-                try:
-                    manager.control_tick()
-                except SensorUnavailable as exc:
-                    manager.events.append("sensor_error", str(exc))
+                manager.control_tick()
                 next_tick = time.time() + config.tick_s
             if now >= next_sample:
                 samples.append((now - t_start, pool.throughput(config.window_s),

@@ -1,16 +1,21 @@
 """The application/autonomic manager.
 
 Accepts a performance contract (fixed parallelism degree, minimum
-throughput, or a <measures, predicate> QoS pair), monitors measures over
-sliding windows, and when the contract breaks evaluates pre-defined
-reconfiguration plans: each plan is an action list plus a forecast formula
-predicting measure values after the actions.  A plan is valid if the
-forecast-updated bindings satisfy the contract; among valid plans the one
-adding the fewest workers runs.  If no plan is valid an escalation event is
-raised to the registered callback.
+throughput, or a <measures, predicate> QoS pair) and repairs it along one
+plan path.  A broken contract opens a violation episode; the first tick past
+the cooldown picks a plan, runs it and starts the cooldown.  A plan is an
+action list plus a forecast formula predicting measure values after the
+actions.  Throughput and QoS contracts take the valid plan (its forecast
+satisfies the contract) adding the fewest workers; a parallelism degree gets
+the computed plan `degree`, one step to that degree.  If no plan is valid an
+escalation event is raised to the registered callback.
 
 Policies are best effort: a parallelism degree larger than the recruitable
 resources degrades to whatever can be recruited, down to one local worker.
+
+A tick logs `sensor_error` (a measure could not be read) and returns, or
+logs `tick`; then `violation` when an episode opens, `plan` or `escalation`
+when it acts, and `action_failed` for an action not carried out in full.
 """
 from __future__ import annotations
 
@@ -235,29 +240,27 @@ class Manager:
         self.escalations: list[EscalationEvent] = []
         self._contract: Optional[Contract] = None
         self._cooldown = 0
-        self._episode: Optional[dict] = None
+        #: None outside a violation episode; inside one, whether it has acted
+        self._episode: Optional[bool] = None
         self._reconfig_lock = threading.Lock()
-        self._measures: dict[str, Callable[[], Sequence[float]]] = {}
-        self.register_measure("throughput", lambda: [self.pool.throughput(self.window_s)])
-        self.register_measure("workers", lambda: [float(self.runtime.active_count())])
-        self.register_measure("pending", lambda: [float(self.pool.pending_count())])
+        self._measures: dict[str, Callable[[], float]] = {}
+        self.register_measure("throughput", lambda: self.pool.throughput(self.window_s))
+        self.register_measure("workers", lambda: float(self.runtime.active_count()))
+        self.register_measure("pending", lambda: float(self.pool.pending_count()))
 
     # -- measures -----------------------------------------------------------
 
-    def register_measure(self, name: str, collector: Callable[[], Sequence[float]]) -> None:
+    def register_measure(self, name: str, collector: Callable[[], float]) -> None:
         self._measures[name] = collector
 
     def get_measure(self, name: str) -> float:
-        """Current value of a measure: the average of its collector's samples."""
+        """Current value of a measure, as its collector returns it."""
         if name not in self._measures:
             raise SensorUnavailable(name)
         try:
-            samples = list(self._measures[name]())
+            return float(self._measures[name]())
         except Exception as exc:
             raise SensorUnavailable(f"{name}: {exc}") from exc
-        if not samples:
-            raise SensorUnavailable(f"{name}: no samples")
-        return sum(samples) / len(samples)
 
     # -- contract -----------------------------------------------------------
 
@@ -282,19 +285,21 @@ class Manager:
         return self._contract
 
     def check_contract(self, bindings: Mapping[str, Any],
-                       contract: Optional[Contract] = None) -> tuple[bool, str]:
-        c = contract if contract is not None else self._contract
-        if c is None:
-            return True, "no contract"
-        if isinstance(c, ParDegree):
-            target = self._degree_target(c.n)
+                       contract: Contract) -> tuple[bool, str]:
+        """Whether `bindings` satisfy `contract`, with a detail for the log.
+        A QoS predicate that raises is not satisfied."""
+        if isinstance(contract, ParDegree):
+            target = self._degree_target(contract.n)
             actual = int(bindings["workers"])
             return actual == target, f"workers={actual} target={target}"
-        if isinstance(c, Throughput):
+        if isinstance(contract, Throughput):
             t = float(bindings["throughput"])
-            return t > c.rate, f"throughput={t:.3f} required>{c.rate}"
-        ok = bool(eval_expr(c.predicate, bindings))
-        return ok, f"{c.predicate} with {dict(bindings)}"
+            return t > contract.rate, f"throughput={t:.3f} required>{contract.rate}"
+        detail = f"{contract.predicate} with {dict(bindings)}"
+        try:
+            return bool(eval_expr(contract.predicate, bindings)), detail
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            return False, f"{detail} raised {type(exc).__name__}: {exc}"
 
     def _degree_target(self, requested: int) -> int:
         recruitable = self.runtime.active_count() + len(self._spare_specs)
@@ -354,6 +359,8 @@ class Manager:
 
     def remove_worker(self, k: int) -> int:
         """Drain and unbind k workers; the pool never drops below one."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
         with self._reconfig_lock:
             active = self.runtime.active_workers()
             if k >= len(active):
@@ -375,7 +382,11 @@ class Manager:
         contract = self._contract
         if contract is None:
             return
-        bindings = {v: self.get_measure(v) for v in contract_variables(contract)}
+        try:
+            bindings = {v: self.get_measure(v) for v in contract_variables(contract)}
+        except SensorUnavailable as exc:
+            self.events.append("sensor_error", str(exc))
+            return
         ok, detail = self.check_contract(bindings, contract)
         self.events.append("tick", {"bindings": bindings, "satisfied": ok,
                                     "duration_ms": (time.monotonic() - t0) * 1e3})
@@ -385,19 +396,18 @@ class Manager:
                 self._cooldown -= 1
             return
         if self._episode is None:
-            self._episode = {"acted": False}
+            self._episode = False
             self.events.append("violation", {"bindings": bindings, "detail": detail})
         if self._cooldown > 0:
             self._cooldown -= 1
             return
-        if self._episode["acted"]:
+        if self._episode:
             return
+        self._episode = True
         if isinstance(contract, ParDegree):
-            self._enforce_degree(contract)
-            self._episode["acted"] = True
-            self._cooldown = COOLDOWN_TICKS
-            return
-        plan, verdicts = self.select_plan(self.plans, bindings, contract)
+            plan, verdicts = self._degree_plan(contract.n), []
+        else:
+            plan, verdicts = self.select_plan(self.plans, bindings, contract)
         if plan is None:
             event = EscalationEvent(contract, dict(bindings), verdicts, time.time())
             self.escalations.append(event)
@@ -408,12 +418,29 @@ class Manager:
                     self.escalation_cb(event)
                 except Exception:
                     pass
-            self._episode["acted"] = True
             return
         self.events.append("plan", {"selected": plan.name, "verdicts": verdicts})
         self._execute_plan(plan)
-        self._episode["acted"] = True
         self._cooldown = COOLDOWN_TICKS
+
+    def _degree_plan(self, requested: int) -> Plan:
+        """The plan whose one step takes the pool to `requested` workers.
+
+        An add asks for the whole step and keeps what can be recruited, so it
+        reaches the best-effort degree; with nothing active and nothing to
+        recruit, one local spare is added first."""
+        active = self.runtime.active_count()
+        if active == 0 and not self._spare_specs:
+            self._spare_specs.append("local")
+        target = max(1, requested)
+        step = target - active
+        if step > 0:
+            actions: tuple[tuple[str, int], ...] = (("add_worker", step),)
+        elif step < 0:
+            actions = (("remove_worker", -step),)
+        else:
+            actions = ()
+        return Plan("degree", actions, lambda bindings: {"workers": target})
 
     def _execute_plan(self, plan: Plan) -> None:
         for action, k in plan.actions:
@@ -426,22 +453,3 @@ class Manager:
                     self.events.append(action, {})
             except (RecruitmentFailed, WouldEmptyPool) as exc:
                 self.events.append("action_failed", {"action": action, "error": str(exc)})
-
-    def _enforce_degree(self, contract: ParDegree) -> None:
-        target = self._degree_target(contract.n)
-        active = self.runtime.active_count()
-        if active == 0 and target >= 1 and not self._spare_specs:
-            # nothing recruitable at all: degrade to one local worker
-            self._spare_specs.append("local")
-        if target > active:
-            try:
-                self.add_worker(target - active)
-            except RecruitmentFailed as exc:
-                self.events.append("action_failed", {"action": "add_worker",
-                                                     "error": str(exc)})
-        elif target < active:
-            try:
-                self.remove_worker(active - target)
-            except WouldEmptyPool as exc:
-                self.events.append("action_failed", {"action": "remove_worker",
-                                                     "error": str(exc)})

@@ -1,4 +1,4 @@
-"""Skeleton compilation, normal form, custom-graph linking, map builder."""
+"""Skeleton compilation, normal form, custom-graph splicing, map builder."""
 import random
 
 import pytest
@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 from mdflow.compiler import (
     Custom,
     Farm,
-    NoExternalDest,
+    InvalidCustomGraph,
     NotNormalizable,
     Pipe,
     Seq,
     SkeletonSyntaxError,
     build_map_graph,
     compile_skeleton,
-    link_custom,
     normalize,
     parse_skeleton,
     seq_leaves,
@@ -22,7 +21,6 @@ from mdflow.compiler import (
 from mdflow.core import (
     OUT,
     ArityMismatch,
-    Dest,
     NoId,
     canonical_renumber,
     chain_opcode,
@@ -136,19 +134,7 @@ def test_normal_form_semantic_equivalence(s, x):
     assert eval_graph(g1, x, reg) == eval_graph(g2, x, reg)
 
 
-# -- link_custom --------------------------------------------------------------
-
-def test_link_custom_to_out_is_identity():
-    g = compile_skeleton(Pipe(Seq("f"), Seq("g")))
-    assert dump(link_custom(g, OUT)) == dump(g)
-
-
-def test_link_custom_requires_external_dest():
-    g = compile_skeleton(Seq("f"))
-    linked = link_custom(g, Dest(NoId, 99, 1))
-    with pytest.raises(NoExternalDest):
-        link_custom(linked, OUT)
-
+# -- Custom nodes -------------------------------------------------------------
 
 def test_custom_node_spliced_into_pipe(registry):
     pre = build_map_graph("split2", "inc", "add2", 2, registry)
@@ -157,6 +143,14 @@ def test_custom_node_spliced_into_pipe(registry):
     assert validate_graph(g) == []
     # split2(x) = (x, x+1); inc each; add2 -> 2x+3; double -> 4x+6
     assert eval_graph(g, 5, registry) == 26
+
+
+def test_custom_graph_with_mixed_output_is_rejected():
+    # the OUT token retires the graph, so the token routed beside it is lost
+    g = parse_dump("1 _ split2 [_] -> [(_,2,1),OUT]\n2 _ inc [_,_] -> [(_,2,2)]\n")
+    assert validate_graph(g) == ["MixedOutput(1)"]
+    with pytest.raises(InvalidCustomGraph, match="MixedOutput"):
+        compile_skeleton(Pipe(Custom(g), Seq("double")))
 
 
 # -- build_map_graph ----------------------------------------------------------

@@ -19,7 +19,7 @@ from mdflow.harness import (
     run_oracle,
     template_cost_ms,
 )
-from mdflow.manager import ParDegree, Throughput
+from mdflow.manager import ParDegree, Throughput, parse_contract
 from mdflow.ops import default_registry
 from mdflow.protocol import WorkerServer
 from mdflow import cli
@@ -88,6 +88,19 @@ def test_run_arms_contract_after_its_delay():
         contract=ParDegree(1), contract_delay_s=0.5))
     armed = [e["ts"] for e in report.events if e["kind"] == "contract"]
     assert len(armed) == 1 and armed[0] - t_before >= 0.5
+
+
+def test_run_treats_a_raising_predicate_as_a_violation():
+    # on one worker the predicate divides by zero; the plan to add one is valid
+    report = run_experiment(ExperimentConfig(
+        program="farm(seq:work)", tasks=20, grain_ms=50.0, workers=["local"],
+        spare_workers=["local"], tick_s=0.2,
+        contract=parse_contract("qos: V=workers,throughput; E=throughput/(workers-1) > 0")))
+    assert report.exit_code == EXIT_OK and report.emitted == 20
+    violations = [e["detail"] for e in report.events if e["kind"] == "violation"]
+    assert len(violations) == 1 and "ZeroDivisionError" in violations[0]["detail"]
+    added = [e["detail"] for e in report.events if e["kind"] == "add_worker"]
+    assert added == [{"requested": 1, "recruited": 1}]
 
 
 def test_bench_adapt_applies_fault_script():

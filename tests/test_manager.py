@@ -86,7 +86,7 @@ def test_set_contract_unmonitorable_variable():
 
 def test_get_measure_harmonization():
     mgr, runtime, _ = make_manager(start=False)
-    mgr.register_measure("load", lambda: [0.4, 0.4, 0.4])
+    mgr.register_measure("load", lambda: 0.4)
     assert mgr.get_measure("load") == pytest.approx(0.4)
     runtime.shutdown()
 
@@ -132,6 +132,19 @@ def test_check_qos_predicate():
     c = QoSContract(("throughput", "workers"), "throughput > 1.5 or workers >= 8")
     assert mgr.check_contract({"throughput": 1.0, "workers": 8}, c)[0] is True
     assert mgr.check_contract({"throughput": 1.0, "workers": 2}, c)[0] is False
+    runtime.shutdown()
+
+
+def test_qos_predicate_that_raises_is_a_violation():
+    mgr, runtime, _ = make_manager(start=False)
+    c = QoSContract(("throughput", "workers"), "throughput / (workers - 1) > 0")
+    ok, detail = mgr.check_contract({"throughput": 2.0, "workers": 1}, c)
+    assert ok is False and "ZeroDivisionError" in detail
+    # a forecast that keeps one worker makes the predicate raise: invalid
+    stay = Plan("stay", (("rebind", 0),), lambda b: {"workers": 1})
+    best, verdicts = mgr.select_plan([stay] + linear_scaling_plans(max_add=1),
+                                     {"throughput": 2.0, "workers": 1}, c)
+    assert verdicts == [("stay", False), ("add(1)", True)] and best.name == "add(1)"
     runtime.shutdown()
 
 
@@ -237,6 +250,15 @@ def test_remove_worker():
     runtime.shutdown()
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_remove_worker_rejects_a_count_below_one(k):
+    mgr, runtime, _ = make_manager(n_workers=3)
+    with pytest.raises(ValueError):
+        mgr.remove_worker(k)
+    assert runtime.active_count() == 3
+    runtime.shutdown()
+
+
 def test_removed_workers_return_to_spares():
     mgr, runtime, _ = make_manager(n_workers=3)
     mgr.remove_worker(1)
@@ -255,7 +277,7 @@ def scripted_manager(throughput_values, spares=("local",), plans=None):
     def collector():
         i = min(script["pos"], len(script["values"]) - 1)
         script["pos"] += 1
-        return [script["values"][i]]
+        return script["values"][i]
 
     mgr.register_measure("throughput", collector)
     return mgr, runtime
@@ -308,6 +330,21 @@ def test_tick_escalates_when_no_plan_valid():
     runtime.shutdown()
 
 
+def test_tick_logs_an_unreadable_measure_and_goes_on():
+    mgr, runtime, _ = make_manager(start=False)
+
+    def broken():
+        raise OSError("sensor offline")
+
+    mgr.register_measure("load", broken)
+    mgr.set_contract(QoSContract(("load",), "load < 1"))
+    mgr.control_tick()
+    errors = mgr.events.entries("sensor_error")
+    assert len(errors) == 1 and "sensor offline" in errors[0]["detail"]
+    assert mgr.events.entries("tick") == []
+    runtime.shutdown()
+
+
 def test_pardegree_enforcement_scales_up_and_down():
     mgr, runtime, _ = make_manager(n_workers=1, spares=["local", "local", "local"])
     mgr.set_contract(ParDegree(3))
@@ -328,4 +365,17 @@ def test_pardegree_best_effort_degrades():
     assert runtime.active_count() == 3
     ok, _ = mgr.check_contract({"workers": 3}, ParDegree(10))
     assert ok
+    runtime.shutdown()
+
+
+def test_pardegree_runs_one_degree_plan_best_effort():
+    mgr, runtime, _ = make_manager(n_workers=1, spares=["local"])
+    mgr.set_contract(ParDegree(5))  # best-effort degree is 2
+    for _ in range(4):
+        mgr.control_tick()
+    plans = mgr.events.entries("plan")
+    assert [p["detail"]["selected"] for p in plans] == ["degree"]
+    failed = mgr.events.entries("action_failed")
+    assert [f["detail"]["action"] for f in failed] == ["add_worker"]
+    assert runtime.active_count() == 2
     runtime.shutdown()

@@ -150,7 +150,8 @@ def test_wiring_fault_in_complete_fails_graph_not_worker():
     # the OUT token retires the graph before the second token is routed
     early_out = parse_dump("1 _ split2 [_] -> [OUT,(_,2,1)]\n2 _ inc [_,_] -> [(_,2,2)]\n")
     bad_slot = parse_dump("1 _ inc [_] -> [(_,2,2)]\n2 _ inc [_] -> [OUT]\n")
-    assert validate_graph(early_out) == [] and validate_graph(bad_slot) == ["BadSlot(1)"]
+    assert validate_graph(early_out) == ["MixedOutput(1)"]
+    assert validate_graph(bad_slot) == ["BadSlot(1)"]
     pool, runtime, descs, _ = make_runtime(1)
     for i in range(3):
         pool.submit_task(early_out, codec.encode(i))

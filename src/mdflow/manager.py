@@ -416,8 +416,8 @@ class Manager:
             if self.escalation_cb is not None:
                 try:
                     self.escalation_cb(event)
-                except Exception:
-                    pass
+                except Exception as exc:
+                    self.events.append("escalation_error", str(exc))
             return
         self.events.append("plan", {"selected": plan.name, "verdicts": verdicts})
         self._execute_plan(plan)

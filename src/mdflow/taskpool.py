@@ -181,7 +181,8 @@ class TaskPool:
         Returns False (and delivers nothing) for duplicates: a second
         completion of a requeued instruction, or a completion arriving after
         the graph retired.  An output count that fits neither the dests nor
-        a single dest fails the graph: the instruction is at fault."""
+        a single dest, or outputs that do not decode where a single dest
+        needs them re-encoded, fail the graph: the instruction is at fault."""
         with self._cond:
             live = self._graphs.get(gid)
             if live is None or live.state.get(iid) == DONE:
@@ -196,7 +197,11 @@ class TaskPool:
                     return True
                 # multi-output opcode behind a single destination: the
                 # token carries the whole output vector
-                outputs = [codec.encode([codec.decode(o) for o in outputs])]
+                try:
+                    outputs = [codec.encode([codec.decode(o) for o in outputs])]
+                except codec.CodecError as exc:
+                    self._retire(gid, None, iid, error=f"instruction {iid}: {exc}")
+                    return True
             for dest, value in zip(dests, outputs):
                 self._deliver(gid, dest, value, iid)
             return True

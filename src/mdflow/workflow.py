@@ -5,6 +5,11 @@ in the task pool; the returned Future completes when that graph's external
 output is emitted.  Arguments may themselves be pending Futures: dispatch
 is event-driven, triggered by the completion of the last pending
 dependency, so no control flow blocks while waiting.
+
+Values cross the pool encoded.  Literal arguments are encoded once, when
+`submit` is called.  A Future carries the bytes its producer emitted: a
+dependent call receives them as they are, and the value is decoded lazily,
+at most once, when `get_value` or `part` first needs it.
 """
 from __future__ import annotations
 
@@ -16,6 +21,10 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 from . import codec
 from .core import ArityMismatch, MdfError, OpcodeRegistry
 from .taskpool import ResultRecord, TaskPool
+
+
+#: a Future's value before its producer's bytes are decoded
+_UNDECODED = object()
 
 
 class UpstreamFailed(MdfError):
@@ -31,40 +40,78 @@ class WorkflowFileError(MdfError):
 
 
 class Future:
-    """Placeholder for an asynchronous result: pending -> ready exactly once."""
+    """Placeholder for an asynchronous result: pending -> ready exactly once.
+
+    A future settled from an emitted ResultRecord keeps the producer's
+    encoded bytes and decodes them at most once, when `get_value` or `part`
+    first needs the value; a dependent call receives those bytes unchanged.
+    A `threading.Event` is made only for a `get_value` that has to block."""
+
+    __slots__ = ("_lock", "_ready", "_event", "_callbacks", "_encoded", "_value", "_error")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
         self._lock = threading.Lock()
-        self._value: Any = None
-        self._error: Optional[Exception] = None
+        self._ready = False
+        self._event: Optional[threading.Event] = None
         self._callbacks: list[Callable[["Future"], None]] = []
+        #: the producer's bytes, or the encoding made for a dependent call
+        self._encoded: Optional[bytes] = None
+        self._value: Any = _UNDECODED
+        self._error: Optional[Exception] = None
 
     def is_ready(self) -> bool:
-        return self._event.is_set()
+        return self._ready
 
     def get_value(self, timeout: Optional[float] = None) -> Any:
-        if not self._event.wait(timeout):
-            raise FutureTimeout(f"future not ready after {timeout}s")
+        if not self._ready:
+            with self._lock:
+                if not self._ready and self._event is None:
+                    self._event = threading.Event()
+                # None only when the future is ready; else _settle sets it
+                event = self._event
+            if event is not None and not event.wait(timeout):
+                raise FutureTimeout(f"future not ready after {timeout}s")
+        return self._result()
+
+    def _result(self) -> Any:
+        """The settled value, decoded on first use; raises the future's
+        error, or the CodecError of bytes that do not decode."""
+        if self._value is _UNDECODED and self._error is None:
+            with self._lock:
+                if self._value is _UNDECODED and self._error is None:
+                    try:
+                        self._value = codec.decode(self._encoded)
+                    except codec.CodecError as exc:
+                        self._error = exc
         if self._error is not None:
             raise self._error
         return self._value
 
-    def _settle(self, value: Any, error: Optional[Exception] = None) -> None:
-        """Make the future ready with a value, or with an error when one is
-        given; the first settle wins and later ones are ignored."""
+    def _payload(self) -> bytes:
+        """The value as a dependent call's argument: the producer's bytes
+        when there are any (a part's value is encoded here)."""
+        if self._encoded is None:
+            self._encoded = codec.encode(self._value)
+        return self._encoded
+
+    def _settle(self, value: Any = _UNDECODED, error: Optional[Exception] = None,
+                encoded: Optional[bytes] = None) -> None:
+        """Make the future ready with a value, the producer's bytes or an
+        error; the first settle wins and later ones are ignored."""
         with self._lock:
-            if self._event.is_set():
+            if self._ready:
                 return
-            self._value, self._error = value, error
-            self._event.set()
+            self._value, self._encoded, self._error = value, encoded, error
+            self._ready = True
             callbacks, self._callbacks = self._callbacks, []
+            if self._event is not None:
+                self._event.set()
         for cb in callbacks:
             cb(self)
 
     def _on_done(self, cb: Callable[["Future"], None]) -> None:
         with self._lock:
-            if not self._event.is_set():
+            if not self._ready:
                 self._callbacks.append(cb)
                 return
         cb(self)
@@ -74,13 +121,14 @@ class Future:
         child = Future()
 
         def propagate(parent: "Future") -> None:
-            if parent._error is not None:
-                child._settle(None, UpstreamFailed(str(parent._error)))
-                return
             try:
-                child._settle(parent._value[index])
+                value = parent._result()[index]
+            except (MdfError, codec.CodecError) as exc:
+                child._settle(error=UpstreamFailed(str(exc)))
             except (TypeError, IndexError, KeyError) as exc:
-                child._settle(None, UpstreamFailed(f"part {index}: {exc}"))
+                child._settle(error=UpstreamFailed(f"part {index}: {exc}"))
+            else:
+                child._settle(value)
 
         self._on_done(propagate)
         return child
@@ -97,42 +145,51 @@ class WorkflowEngine:
         """Submit a computation whose args may be payloads or Futures.
 
         Returns immediately with a pending Future; the instruction is
-        dispatched once every Future argument is ready."""
+        dispatched once every Future argument is ready.  Literal args are
+        encoded here, so one that cannot be encoded raises CodecError and
+        nothing is submitted."""
         op = self.registry.resolve(opcode)  # raises UnknownOpcode
         if len(args) != op.in_arity:
             raise ArityMismatch(f"{opcode}: expected {op.in_arity} args, got {len(args)}")
         result = Future()
-        resolved: list[Any] = list(args)
-        pending: list[tuple[int, Future]] = [
-            (i, a) for i, a in enumerate(args) if isinstance(a, Future)]
-        state = {"remaining": len(pending)}
-        state_lock = threading.Lock()
+        payloads: list[Optional[bytes]] = []
+        pending: list[tuple[int, Future]] = []
+        for i, arg in enumerate(args):
+            if isinstance(arg, Future):
+                pending.append((i, arg))
+                payloads.append(None)
+            else:
+                payloads.append(codec.encode(arg))
 
         def on_emit(record: ResultRecord) -> None:
             if record.error is not None:
-                result._settle(None, UpstreamFailed(record.error))
+                result._settle(error=UpstreamFailed(record.error))
             else:
-                result._settle(codec.decode(record.value))
+                result._settle(encoded=record.value)
 
         def try_dispatch() -> None:
             # the graph carries on_emit from birth: no completion can miss it
-            self.pool.submit_call(opcode, [codec.encode(v) for v in resolved],
-                                  on_emit=on_emit)
-
-        def on_dep_done(i: int, dep: Future) -> None:
-            if dep._error is not None:
-                # a failed dependency never counts down, so nothing dispatches
-                result._settle(None, UpstreamFailed(str(dep._error)))
-                return
-            resolved[i] = dep._value
-            with state_lock:
-                state["remaining"] -= 1
-                last = state["remaining"] == 0
-            if last:
-                try_dispatch()
+            self.pool.submit_call(opcode, payloads, on_emit=on_emit)
 
         if not pending:
             try_dispatch()
+            return result
+        remaining = len(pending)
+        count_lock = threading.Lock()
+
+        def on_dep_done(i: int, dep: Future) -> None:
+            nonlocal remaining
+            if dep._error is not None:
+                # a failed dependency never counts down, so nothing dispatches
+                result._settle(error=UpstreamFailed(str(dep._error)))
+                return
+            payloads[i] = dep._payload()
+            with count_lock:
+                remaining -= 1
+                last = remaining == 0
+            if last:
+                try_dispatch()
+
         for i, dep in pending:
             dep._on_done(lambda d, _i=i: on_dep_done(_i, d))
         return result

@@ -330,6 +330,22 @@ def test_tick_escalates_when_no_plan_valid():
     runtime.shutdown()
 
 
+
+def test_tick_records_a_failing_escalation_callback():
+    hopeless = [Plan("noop", (("rebind", 0),), lambda b: {})]
+    mgr, runtime = scripted_manager([0.1] * 2, spares=[], plans=hopeless)
+
+    def pager(event):
+        raise RuntimeError("pager down")
+
+    mgr.escalation_cb = pager
+    mgr.set_contract(Throughput(1.5))
+    mgr.control_tick()  # returns normally
+    assert len(mgr.escalations) == 1
+    [entry] = mgr.events.entries("escalation_error")
+    assert entry["detail"] == "pager down"
+    runtime.shutdown()
+
 def test_tick_logs_an_unreadable_measure_and_goes_on():
     mgr, runtime, _ = make_manager(start=False)
 

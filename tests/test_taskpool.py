@@ -250,6 +250,15 @@ def test_multi_output_behind_single_dest_wraps_vector(pool):
     assert codec.decode(pool.results[0].value) == [7, 8]
 
 
+
+def test_multi_output_that_does_not_decode_fails_the_graph(pool):
+    gid = pool.submit_call("split2", [codec.encode(7)])
+    _, instr = pool.fetch_fireable(0.1)
+    assert pool.complete(gid, instr.id, [b"garbage", codec.encode(2)])
+    assert pool.wait_quiescent(1.0)
+    [record] = pool.results
+    assert record.value is None and "instruction 1" in record.error
+
 def test_result_timestamps_ordered(pool):
     t = compile_skeleton(Seq("f"))
     gid = pool.submit_task(t, codec.encode(1))

@@ -1,9 +1,12 @@
 """Futures frontend: submission, readiness, DAGs, streams, workflow files."""
 import random
+import sys
+import threading
 import time
 
 import pytest
 
+from mdflow import codec
 from mdflow.core import ArityMismatch, UnknownOpcode
 from mdflow.ops import default_registry
 from mdflow.oracle import eval_workflow
@@ -53,14 +56,95 @@ def test_is_ready_never_flips_back(engine):
 
 
 def test_get_value_repeated_calls_identical(engine):
-    fut = engine.submit("inc", [1])
-    assert fut.get_value(5) == fut.get_value(5) == 2
+    fut = engine.submit("identity", [[1, "a"]])
+    first = fut.get_value(5)
+    assert first == [1, "a"]
+    assert fut.get_value(5) is first  # the value is decoded once
 
 
 def test_get_value_timeout():
     fut = Future()
     with pytest.raises(FutureTimeout):
         fut.get_value(0.01)
+    fut._settle(5)  # a settle after a timed-out wait is still seen
+    assert fut.get_value(0) == 5
+
+
+# -- the Future itself: a flag, a callback list, an Event only for waiters ---
+
+def test_blocked_get_value_wakes_when_another_thread_settles():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often, to hit the event's creation
+    try:
+        for i in range(500):
+            fut = Future()
+            settler = threading.Thread(target=fut._settle, args=(i,))
+            settler.start()
+            assert fut.get_value(5) == i
+            settler.join(5)
+            assert not settler.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_callback_registered_after_settle_runs_at_once():
+    fut = Future()
+    fut._settle(3)
+    seen = []
+    fut._on_done(seen.append)
+    assert seen == [fut]
+
+
+def test_each_callback_runs_exactly_once():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            fut = Future()
+            calls = []
+            registrar = threading.Thread(target=lambda: [
+                fut._on_done(lambda f, k=k: calls.append(k)) for k in range(20)])
+            registrar.start()
+            fut._settle(1)
+            fut._settle(2)  # ignored: the first settle wins
+            registrar.join(5)
+            assert not registrar.is_alive()
+            assert sorted(calls) == list(range(20))
+            assert fut.get_value(0) == 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_future_of_bytes_that_do_not_decode_fails_alone():
+    reg = default_registry()
+    run_encoded = reg.run_encoded
+
+    def garbling(name, payloads, slowdown=1.0):
+        return [b"garbage"] if name == "echo" else run_encoded(name, payloads, slowdown)
+
+    reg.run_encoded = garbling
+    pool = TaskPool()
+    runtime = Runtime(pool, reg, required_opcodes=[])
+    runtime.recruit("local")
+    runtime.start()
+    try:
+        eng = WorkflowEngine(pool, reg)
+        bad = eng.submit("echo", [1])
+        # whole: the bytes go on undecoded and the worker's decode fails;
+        # part: decoding them in the completing worker's callback fails
+        whole = eng.submit("inc", [bad])
+        part = eng.submit("inc", [bad.part(0)])
+        with pytest.raises(UpstreamFailed):
+            whole.get_value(5)
+        with pytest.raises(UpstreamFailed):
+            part.get_value(5)
+        with pytest.raises(codec.CodecError):
+            bad.get_value(5)
+        # the completing worker is still serving
+        assert eng.submit("inc", [1]).get_value(5) == 2
+        assert runtime.active_count() == 1
+    finally:
+        runtime.shutdown()
 
 
 def test_unknown_opcode(engine):
@@ -200,3 +284,75 @@ def test_future_hears_completion_that_beats_submit_call_return():
 
     pool.submit_call = fastest_worker
     assert eng.submit("inc", [1]).get_value(0.5) == 2
+
+
+# -- bytes stay bytes between calls ------------------------------------------
+
+def run_by_hand(pool, reg):
+    """Execute every fireable instruction on the calling thread."""
+    while (item := pool.fetch_fireable(0)) is not None:
+        gid, instr = item
+        pool.complete(gid, instr.id, reg.run_encoded(instr.opcode, instr.inputs))
+
+
+def test_whole_future_argument_is_the_producers_bytes():
+    reg = default_registry()
+    pool = TaskPool()
+    eng = WorkflowEngine(pool, reg)
+    producer = eng.submit("identity", [[1, 2]])
+    run_by_hand(pool, reg)
+    [record] = pool.results
+    sent = []
+    submit_call = pool.submit_call
+    pool.submit_call = lambda opcode, payloads, **kw: (
+        sent.append(payloads), submit_call(opcode, payloads, **kw))[1]
+    eng.submit("identity", [producer])
+    assert sent[0][0] is record.value
+
+
+def test_unencodable_literal_raises_from_submit_and_submits_nothing():
+    reg = default_registry()
+    pool = TaskPool()
+    eng = WorkflowEngine(pool, reg)
+    dep = Future()
+    with pytest.raises(codec.CodecError):
+        eng.submit("identity", [object()])
+    with pytest.raises(codec.CodecError):
+        eng.submit("add2", [dep, object()])
+    dep._settle(1)
+    assert pool.metrics()["submitted"] == 0
+
+
+def test_codec_calls_for_one_diamond(monkeypatch):
+    reg = default_registry()
+    pool = TaskPool()
+    runtime = Runtime(pool, reg, required_opcodes=[])
+    runtime.recruit("local")
+    runtime.start()
+    expected = reg.run("add2", [reg.run("f", [5])[0], reg.run("g", [6])[0]])[0]
+    calls = {"encode": 0, "decode": 0}
+
+    def counting(name):
+        fn = getattr(codec, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(codec, "encode", counting("encode"))
+    monkeypatch.setattr(codec, "decode", counting("decode"))
+    try:
+        eng = WorkflowEngine(pool, reg)
+        s = eng.submit("split2", [5])
+        a = eng.submit("f", [s.part(0)])
+        b = eng.submit("g", [s.part(1)])
+        assert eng.submit("add2", [a, b]).get_value(5) == expected
+        assert pool.wait_quiescent(5)
+    finally:
+        runtime.shutdown()
+    # encodes: the literal, split2's two outputs and their vector, the two
+    # parts, f, g and add2.  Decodes: split2's input and two outputs, s once
+    # for both parts, f, g, add2's two inputs and the result.  a and b go to
+    # add2 as the bytes f and g emitted.
+    assert calls == {"encode": 9, "decode": 9}

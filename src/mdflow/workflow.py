@@ -13,6 +13,7 @@ at most once, when `get_value` or `part` first needs it.
 """
 from __future__ import annotations
 
+import copy
 import json
 import threading
 from dataclasses import dataclass
@@ -84,7 +85,10 @@ class Future:
                     except codec.CodecError as exc:
                         self._error = exc
         if self._error is not None:
-            raise self._error
+            # a copy per call: raising the stored exception itself would add
+            # this call's frames to its one __traceback__, every call and in
+            # every thread that reads the future
+            raise copy.copy(self._error).with_traceback(self._error.__traceback__)
         return self._value
 
     def _payload(self) -> bytes:

@@ -1,5 +1,7 @@
 """Canonical binary codec: round trips, determinism, error cases."""
 import enum
+import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,13 +181,115 @@ def test_decode_of_arbitrary_bytes_raises_only_codec_error(data):
     decode_or_codec_error(data)
 
 
-@settings(deadline=None)
-@given(values, st.data())
-def test_decode_of_mutated_encoding_raises_only_codec_error(value, data):
-    wire = bytearray(codec.encode(value))
-    edits = data.draw(st.lists(st.tuples(st.integers(0, len(wire) - 1),
-                                         st.integers(0, 255)), max_size=4))
+@st.composite
+def mutated_encodings(draw, cut: bool = True) -> bytearray:
+    """An encoding with up to 4 bytes overwritten, then cut short unless
+    `cut` is false.  Half the new bytes are ones int() accepts around or
+    inside digits."""
+    wire = bytearray(codec.encode(draw(values)))
+    byte = st.integers(0, 255) | st.sampled_from(b" +-_0")
+    edits = draw(st.lists(st.tuples(st.integers(0, len(wire) - 1), byte), max_size=4))
     for i, byte in edits:
         wire[i] = byte
-    cut = data.draw(st.integers(0, len(wire)))
-    decode_or_codec_error(bytes(wire[:cut]))
+    return wire[:draw(st.integers(0, len(wire)))] if cut else wire
+
+
+@settings(deadline=None)
+@given(mutated_encodings())
+def test_decode_of_mutated_encoding_raises_only_codec_error(wire):
+    decode_or_codec_error(bytes(wire))
+
+
+@settings(deadline=None)
+@given(mutated_encodings())
+def test_decode_of_mutated_bytearray_raises_only_codec_error(wire):
+    decode_or_codec_error(wire)
+
+
+@settings(deadline=None)
+@given(mutated_encodings(cut=False))
+def test_decode_accepts_only_what_encode_makes(wire):
+    try:
+        value = codec.decode(bytes(wire))
+    except codec.CodecError:
+        return
+    assert codec.encode(value) == wire
+
+
+def _int_wire(body: bytes) -> bytes:
+    return b"I" + struct.pack("<I", len(body)) + body
+
+
+# int() takes all of these bodies, and dict() takes any key order
+NON_CANONICAL = [
+    _int_wire(b"+12"),
+    _int_wire(b" 12"),
+    _int_wire(b"1_2"),
+    _int_wire(b"07"),
+    _int_wire(b"-0"),
+    b"M\x02\x00\x00\x00S\x01\x00\x00\x00aTS\x01\x00\x00\x00aF",  # "a" twice
+    b"M\x02\x00\x00\x00S\x01\x00\x00\x00bTS\x01\x00\x00\x00aF",  # "b" before "a"
+]
+
+
+@pytest.mark.parametrize("data", NON_CANONICAL, ids=repr)
+def test_non_canonical_encoding_raises_codec_error(data):
+    with pytest.raises(codec.CodecError):
+        codec.decode(data)
+    # an item of a list takes the inlined path
+    with pytest.raises(codec.CodecError):
+        codec.decode(b"L\x01\x00\x00\x00" + data)
+
+
+def test_small_int_table_holds_the_general_encoding():
+    assert set(codec._SMALL_INT_BYTES) == set(codec._SMALL_INTS)
+    assert len(codec._SMALL_INT_VALUES) == len(codec._SMALL_INTS)
+    for v in codec._SMALL_INTS:
+        wire = _int_wire(b"%d" % v)
+        assert codec._SMALL_INT_BYTES[v] == wire
+        assert codec._SMALL_INT_VALUES[wire] == v
+        assert codec.encode(v) == wire and codec.decode(wire) == v
+        assert codec.encode([v]) == b"L\x01\x00\x00\x00" + wire
+        assert codec.decode(b"L\x01\x00\x00\x00" + wire) == [v]
+
+
+def test_values_equal_to_small_ints_keep_their_own_encoding():
+    # True == 1, 1.0 == 1 and -0.0 == 0 all hash alike, so a lookup that
+    # skipped the exact type check would encode them as ints
+    values = [True, False, 1.0, 0.0, -0.0, 1, 0]
+    wire = (b"L\x07\x00\x00\x00TF"
+            b"D\x00\x00\x00\x00\x00\x00\xf0?"
+            b"D\x00\x00\x00\x00\x00\x00\x00\x00"
+            b"D\x00\x00\x00\x00\x00\x00\x00\x80"
+            b"I\x01\x00\x00\x001I\x01\x00\x00\x000")
+    assert codec.encode(values) == wire
+    decoded = codec.decode(wire)
+    assert [type(x) for x in decoded] == [type(x) for x in values]
+    assert decoded == values and math.copysign(1.0, decoded[4]) == -1.0
+    wire = b"M\x02\x00\x00\x00S\x01\x00\x00\x00aTS\x01\x00\x00\x00bI\x01\x00\x00\x001"
+    assert codec.encode({"a": True, "b": 1}) == wire
+    assert codec.decode(wire)["a"] is True
+
+
+@pytest.mark.parametrize("v", [-257, -256, 1023, 1024, 10**40, -10**40])
+def test_ints_at_and_past_the_table_bounds_round_trip(v):
+    wire = _int_wire(b"%d" % v)
+    assert codec.encode(v) == wire and codec.decode(wire) == v
+    assert codec.encode([v, v]) == b"L\x02\x00\x00\x00" + wire * 2
+    assert codec.decode(b"L\x02\x00\x00\x00" + wire * 2) == [v, v]
+
+
+@given(values)
+def test_buffers_decode_like_bytes(value):
+    wire = codec.encode(value)
+    expected = codec.decode(wire)
+    for buffer in (bytearray(wire), memoryview(wire)):
+        decoded = codec.decode(buffer)
+        assert decoded == expected
+        assert codec.encode(decoded) == wire  # a B body decodes to bytes
+
+
+def test_decode_of_a_non_buffer_raises_codec_error():
+    for data in ("N", 7, None):
+        with pytest.raises(codec.CodecError):
+            codec.decode(data)

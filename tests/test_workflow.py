@@ -182,6 +182,42 @@ def test_upstream_failure_propagates(engine):
         bad.get_value(10)
 
 
+def traceback_length(fut: Future) -> int:
+    try:
+        fut.get_value(10)
+    except (UpstreamFailed, codec.CodecError) as exc:
+        n, tb = 0, exc.__traceback__
+        while tb is not None:
+            n, tb = n + 1, tb.tb_next
+        return n
+    raise AssertionError("the future did not fail")
+
+
+def test_failed_future_traceback_does_not_grow(engine):
+    failed = engine.submit("boom", [1])
+    undecodable = Future()
+    undecodable._settle(encoded=b"X")
+    for fut in (failed, undecodable):
+        first = traceback_length(fut)
+        assert [traceback_length(fut) for _ in range(5)] == [first] * 5
+        # two threads reading one failed future each see a chain of the same
+        # length, however their reads interleave
+        start = threading.Barrier(2)
+        seen: list[int] = []
+
+        def reader() -> None:
+            start.wait()
+            seen.extend(traceback_length(fut) for _ in range(200))
+
+        threads = [threading.Thread(target=reader) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert seen == [first] * 400
+        assert traceback_length(fut) == first
+
+
 def test_part_out_of_range_fails(engine):
     f = engine.submit("split2", [1])
     with pytest.raises(UpstreamFailed):

@@ -8,7 +8,9 @@
 
 `run` turns its flags into `key = value` pairs and `bench-adapt` reads them
 from its config file; both build their config with
-`ExperimentConfig.from_pairs`, so the two share one key list.
+`ExperimentConfig.from_pairs`, so the two share one key list.  Both run the
+program's normal form (`compiler.normalize`), which gives the same results
+as the program as written with fewer dispatches per task.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     pairs = [("program", args.program), ("tasks", str(args.tasks)),
              ("grain", str(args.grain)), ("comm", str(args.comm)),
              ("workers", args.workers), ("spares", args.spares),
-             ("contract", args.contract), ("normalize", str(args.normalize))]
+             ("contract", args.contract)]
     pairs += _script_lines(args.faults, "kill") + _script_lines(args.overload, "overload")
     try:
         report = run_experiment(ExperimentConfig.from_pairs(pairs))
@@ -142,7 +144,6 @@ def main(argv=None) -> int:
     p.add_argument("--workers", default="local:2")
     p.add_argument("--spares", default="", help="manager recruitment reserve")
     p.add_argument("--contract", default="")
-    p.add_argument("--normalize", action="store_true")
     p.add_argument("--faults", default="", help="fault script file")
     p.add_argument("--overload", default="", help="overload script file")
     p.add_argument("--out", default="", help="report JSON path")

@@ -7,9 +7,15 @@ worker's graph unchanged (farming affects scheduling, never graph shape),
 and a pipe wires stage one's output to stage two's input instruction.  A
 programmer's graph enters a program only as a Custom node: it is validated
 and spliced in with its external output wired to the node's continuation.
+
+`normalize` rewrites a program to the normal form of Aldinucci & Danelutto
+("Stream parallel skeleton optimization", PDCS 1999), which experiment
+sessions always run: a task needs one dispatch per run of Seq stages
+instead of one per stage.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -23,6 +29,7 @@ from .core import (
     MdfInstruction,
     NoId,
     OpcodeRegistry,
+    chain_links,
     chain_opcode,
     make_instruction,
     parse_dump,
@@ -32,10 +39,6 @@ from .core import (
 
 class InvalidCustomGraph(MdfError):
     pass
-
-
-class NotNormalizable(MdfError):
-    """Custom nodes have opaque semantics: no normal-form rewrite exists."""
 
 
 class SkeletonSyntaxError(MdfError):
@@ -127,23 +130,36 @@ def _splice_custom(g: MdfGraph, cont: Optional[int],
     return mapping[g.input_id]
 
 
-def seq_leaves(s: Skeleton) -> list[str]:
-    """Seq opcodes of a skeleton tree, left to right."""
-    if isinstance(s, Seq):
-        return [s.opcode]
-    if isinstance(s, Farm):
-        return seq_leaves(s.worker)
-    if isinstance(s, Pipe):
-        return seq_leaves(s.first) + seq_leaves(s.second)
-    if isinstance(s, Custom):
-        raise NotNormalizable("custom graphs cannot be normalized")
-    raise TypeError(f"not a skeleton: {s!r}")
-
-
 def normalize(s: Skeleton) -> Skeleton:
-    """Rewrite to normal form: a farm whose single worker sequentially
-    composes all Seq opcodes of s left to right."""
-    return Farm(Seq(chain_opcode(seq_leaves(s))))
+    """Rewrite to normal form: a farm of the program's stages in order, each
+    maximal run of adjacent Seq stages fused into one Seq.
+
+    A run of several opcodes becomes one ``chain(...)`` opcode, which runs
+    exactly what the pipe of its stages runs, so fusing never changes a
+    result; a run of one keeps its own opcode.  A Custom node ends a run and
+    stays as it is.  Chain names are never nested: a Seq whose opcode is
+    already a chain contributes its links, so normalizing twice changes
+    nothing.
+    """
+    fused: list[Skeleton] = []
+    for is_seq, run in itertools.groupby(_stages(s), key=lambda t: isinstance(t, Seq)):
+        if not is_seq:
+            fused.extend(run)
+            continue
+        names = [name for t in run for name in chain_links(t.opcode) or [t.opcode]]
+        fused.append(Seq(names[0] if len(names) == 1 else chain_opcode(names)))
+    return Farm(functools.reduce(Pipe, fused))
+
+
+def _stages(s: Skeleton) -> list[Skeleton]:
+    """The Seq and Custom stages of a skeleton tree, left to right."""
+    if isinstance(s, (Seq, Custom)):
+        return [s]
+    if isinstance(s, Farm):
+        return _stages(s.worker)
+    if isinstance(s, Pipe):
+        return _stages(s.first) + _stages(s.second)
+    raise TypeError(f"not a skeleton: {s!r}")
 
 
 def build_map_graph(split: str, worker: str, merge: str, parts: int,

@@ -351,7 +351,7 @@ def chain_opcode(names: list[str]) -> str:
     return _CHAIN_PREFIX + ",".join(names) + ")"
 
 
-def _chain_links(name: str) -> Optional[list[str]]:
+def chain_links(name: str) -> Optional[list[str]]:
     """The link names of a ``chain(a,b,...)`` opcode name, else None."""
     if name.startswith(_CHAIN_PREFIX) and name.endswith(")"):
         return name[len(_CHAIN_PREFIX):-1].split(",")
@@ -376,10 +376,14 @@ class Opcode:
 class OpcodeRegistry:
     """Named pure functions, present identically on client and workers.
 
-    Names of the form ``chain(a,b,...)`` resolve to the left-to-right
-    composition of the registered unary opcodes a, b, ...; the composed
-    Opcode is built on first use and kept until the next `register` (or
-    until the memo fills, at a fixed size).
+    Names of the form ``chain(a,b,...)`` resolve to one unary opcode that
+    runs a, b, ... left to right exactly as the pipe of those stages runs
+    them: each link gets a codec copy of the previous link's output, which
+    is what a pipe stage receives, and a link's several outputs go on as one
+    list, as `TaskPool.complete` packs them for a single destination.  A
+    link that takes more than one input is refused at resolve.  The
+    composed Opcode is built on first use and kept until the next
+    `register` (or until the memo fills, at a fixed size).
     """
 
     def __init__(self) -> None:
@@ -405,18 +409,19 @@ class OpcodeRegistry:
         op = self._ops.get(name) or self._chains.get(name)
         if op is not None:
             return op
-        links = _chain_links(name)
+        links = chain_links(name)
         if links is None:
             raise UnknownOpcode(name)
         ops = [self.resolve(p) for p in links]
         for link in ops:
-            if link.in_arity != 1 or link.out_arity != 1:
-                raise ArityMismatch(f"chain link {link.name} is not unary")
-        fns = tuple(link.fn for link in ops)
+            if link.in_arity != 1:
+                raise ArityMismatch(f"chain link {link.name} takes {link.in_arity} inputs")
+        apply = self._apply
 
         def chained(x):
-            for f in fns:
-                x = f(x)
+            for k, link in enumerate(ops):
+                outs = apply(link, [codec.decode(codec.encode(x)) if k else x])
+                x = outs[0] if link.out_arity == 1 else outs
             return x
 
         op = Opcode(name, chained, 1, 1, sum(link.cost_ms for link in ops))
@@ -447,11 +452,11 @@ class OpcodeRegistry:
             raise ArityMismatch(f"{op.name}: expected {op.in_arity} args, got {len(args)}")
         try:
             result = op.fn(*args)
+            if op.out_arity == 1:
+                return [result]
+            outs = list(result)
         except Exception as exc:
             raise OpcodeError(f"{op.name}: {exc}") from exc
-        if op.out_arity == 1:
-            return [result]
-        outs = list(result)
         if len(outs) != op.out_arity:
             raise OpcodeError(f"{op.name}: declared {op.out_arity} outputs, produced {len(outs)}")
         return outs
@@ -461,5 +466,5 @@ def manifest_supports(manifest_names: set[str], opcode_name: str) -> bool:
     """True if a worker advertising manifest_names can execute opcode_name."""
     if opcode_name in manifest_names:
         return True
-    links = _chain_links(opcode_name)
+    links = chain_links(opcode_name)
     return links is not None and all(manifest_supports(manifest_names, p) for p in links)

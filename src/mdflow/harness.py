@@ -2,7 +2,10 @@
 scenarios, fault injection, and the sequential oracle entry point.
 
 `run_experiment` and `bench_adapt` shape the result of one experiment
-session: compile, build the pool, runtime and manager, recruit, submit the
+session: compile the program's normal form (`compiler.normalize`, which
+never changes a result) and check it against the registry, so an unknown
+opcode or a wiring that does not fit an opcode's arities fails before any
+task is submitted; build the pool, runtime and manager, recruit, submit the
 stream, then follow a single timeline that applies the scripted kills,
 overloads and the contract arming when due, runs the manager's control tick
 every `tick_s` when the run has a contract, and samples throughput and
@@ -28,7 +31,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from . import codec
 from .compiler import compile_skeleton, normalize, parse_skeleton
-from .core import MdfGraph, OpcodeRegistry
+from .core import ArityMismatch, MdfGraph, OpcodeRegistry
 from .manager import Contract, Manager, Throughput, parse_contract
 from .ops import default_registry
 from .oracle import eval_skeleton, eval_workflow
@@ -55,7 +58,6 @@ class ExperimentConfig:
     comm_delay_ms: float = 0.0
     workers: Sequence[WorkerSpec] = ("local",)
     contract: Optional[Contract] = None
-    normalize: bool = False
     #: (time_s, worker index) pairs: simulated worker deaths
     fault_script: Sequence[tuple[float, int]] = ()
     #: (time_s, worker index, slowdown factor) triples
@@ -121,8 +123,21 @@ def _median(xs: Sequence[float]) -> Optional[float]:
 
 
 def template_cost_ms(template: MdfGraph, registry: OpcodeRegistry) -> float:
-    """Ideal sequential compute per task: the sum of synthetic opcode costs."""
-    return sum(registry.resolve(i.opcode).cost_ms for i in template.instructions.values())
+    """Ideal sequential compute per task: the sum of synthetic opcode costs.
+
+    Checks the template on the way, so a session can refuse it before it
+    submits anything: UnknownOpcode for an opcode the registry cannot
+    resolve, ArityMismatch for an instruction whose slots differ from its
+    opcode's inputs, or whose several dests differ from its outputs."""
+    cost = 0.0
+    for instr in template.instructions.values():
+        op = registry.resolve(instr.opcode)
+        if op.in_arity != instr.in_arity or (
+                len(instr.dests) > 1 and op.out_arity != len(instr.dests)):
+            raise ArityMismatch(f"instruction {instr.id}: {op.name} does not fit"
+                                f" {instr.in_arity} slots and {len(instr.dests)} dests")
+        cost += op.cost_ms
+    return cost
 
 
 @dataclass
@@ -143,19 +158,17 @@ class _Session:
 def _run_session(config: ExperimentConfig, registry: Optional[OpcodeRegistry],
                  inputs: Optional[Sequence[Any]],
                  duration_s: Optional[float]) -> _Session:
-    """Compile, recruit, submit the stream, then follow one timeline: apply
-    each scripted kill, overload and the contract arming when due, tick the
-    manager every `config.tick_s` when there is a contract, and sample every
-    SAMPLE_S until the pool drains or `duration_s` (the drain timeout when
-    None) runs out."""
+    """Compile the program's normal form and check it, recruit, submit the
+    stream, then follow one timeline: apply each scripted kill, overload and
+    the contract arming when due, tick the manager every `config.tick_s` when
+    there is a contract, and sample every SAMPLE_S until the pool drains or
+    `duration_s` (the drain timeout when None) runs out."""
     for _, i, _ in config.overload_script:
         if config.workers[i] != "local":
             raise ValueError(f"overload entry for worker {i}: only local workers slow down")
     registry = registry or default_registry(config.grain_ms)
-    skeleton = parse_skeleton(config.program)
-    if config.normalize:
-        skeleton = normalize(skeleton)
-    template = compile_skeleton(skeleton)
+    template = compile_skeleton(normalize(parse_skeleton(config.program)))
+    cost_ms = template_cost_ms(template, registry)
     opcodes = sorted({i.opcode for i in template.instructions.values()})
     pool = TaskPool()
     runtime = Runtime(pool, registry, comm_delay_ms=config.comm_delay_ms,
@@ -208,8 +221,8 @@ def _run_session(config: ExperimentConfig, registry: Optional[OpcodeRegistry],
     finally:
         pool.close()
         runtime.shutdown()
-    return _Session(pool, manager, template_cost_ms(template, registry), len(descriptors),
-                    len(inputs), t_start, t_end, samples)
+    return _Session(pool, manager, cost_ms, len(descriptors), len(inputs),
+                    t_start, t_end, samples)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -378,7 +391,6 @@ _CONFIG_KEYS: dict[str, tuple[str, Callable[[str], Any]]] = {
     "workers": ("workers", parse_workers),
     "spares": ("spare_workers", parse_workers),
     "contract": ("contract", lambda v: parse_contract(v) if v else None),
-    "normalize": ("normalize", lambda v: v.lower() == "true"),
     "window": ("window_s", float),
     "tick": ("tick_s", float),
     "duration": ("run_duration_s", float),

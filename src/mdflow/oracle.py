@@ -3,18 +3,28 @@
 Nothing here touches the task pool or the runtime: skeleton trees are
 evaluated by direct recursion, graphs by a minimal one-at-a-time token
 propagation over plain Python values, workflows by topological evaluation.
+Skeleton stages and graph instructions get codec copies of their inputs and
+give codec copies of their outputs, as they do when values cross the pool
+encoded; several outputs bound for one destination go on as one list, as
+the pool packs them.
 """
 from __future__ import annotations
 
 from typing import Any
 
+from . import codec
 from .core import MdfGraph, OpcodeRegistry
 from .compiler import Custom, Farm, Pipe, Seq, Skeleton
 
 
+def _copy(value: Any) -> Any:
+    return codec.decode(codec.encode(value))
+
+
 def eval_skeleton(s: Skeleton, value: Any, registry: OpcodeRegistry) -> Any:
     if isinstance(s, Seq):
-        return registry.run(s.opcode, [value])[0]
+        outs = registry.run(s.opcode, [_copy(value)])
+        return _copy(outs[0] if len(outs) == 1 else outs)
     if isinstance(s, Farm):
         return eval_skeleton(s.worker, value, registry)
     if isinstance(s, Pipe):
@@ -30,7 +40,7 @@ def eval_graph(template: MdfGraph, value: Any, registry: OpcodeRegistry) -> Any:
         iid: [None] * instr.in_arity for iid, instr in template.instructions.items()
     }
     filled: dict[int, int] = {iid: 0 for iid in template.instructions}
-    slots[template.input_id][0] = value
+    slots[template.input_id][0] = _copy(value)
     filled[template.input_id] = 1
     ready = [template.input_id]
     output: list[Any] = []
@@ -44,7 +54,7 @@ def eval_graph(template: MdfGraph, value: Any, registry: OpcodeRegistry) -> Any:
         outs = registry.run(instr.opcode, slots[iid])
         if len(outs) != len(instr.dests) and len(instr.dests) == 1:
             outs = [outs]
-        for dest, out in zip(instr.dests, outs):
+        for dest, out in zip(instr.dests, map(_copy, outs)):
             if dest.is_external:
                 output.append(out)
                 continue

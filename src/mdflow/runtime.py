@@ -407,9 +407,9 @@ class Runtime:
         desc.busy_ms += busy_s * 1000.0
 
     def _fail(self, desc: WorkerDescriptor, exc: Exception) -> None:
+        """Mark a worker failed, once its work in flight is requeued, and tell
+        `failure_cb`.  An exception from the callback ends the worker's
+        thread, so `threading.excepthook` reports it."""
         desc.state = "failed"
         if self.failure_cb is not None:
-            try:
-                self.failure_cb(desc, exc)
-            except Exception:
-                pass
+            self.failure_cb(desc, exc)

@@ -8,7 +8,6 @@ from mdflow.compiler import (
     Custom,
     Farm,
     InvalidCustomGraph,
-    NotNormalizable,
     Pipe,
     Seq,
     SkeletonSyntaxError,
@@ -16,13 +15,13 @@ from mdflow.compiler import (
     compile_skeleton,
     normalize,
     parse_skeleton,
-    seq_leaves,
 )
 from mdflow.core import (
     OUT,
     ArityMismatch,
     NoId,
     canonical_renumber,
+    OpcodeError,
     chain_opcode,
     dump,
     parse_dump,
@@ -67,7 +66,7 @@ def test_compile_farm_is_transparent():
 def test_compile_instruction_count_equals_seq_leaves():
     s = Pipe(Pipe(Seq("f"), Farm(Seq("g"))), Seq("h"))
     g = compile_skeleton(s)
-    assert len(g.instructions) == len(seq_leaves(s)) == 3
+    assert len(g.instructions) == 3
 
 
 def test_compiled_templates_have_absent_tokens():
@@ -105,7 +104,7 @@ def test_normalize_pipe_of_farms():
 
 
 def test_normalize_single_leaf():
-    assert normalize(Seq("f")) == Farm(Seq(chain_opcode(["f"])))
+    assert normalize(Seq("f")) == Farm(Seq("f"))
 
 
 def test_normalize_matches_direct_composition(registry):
@@ -119,10 +118,15 @@ def test_normalize_matches_direct_composition(registry):
         assert eval_skeleton(n, x, registry) == expected
 
 
-def test_normalize_rejects_custom(registry):
-    g = compile_skeleton(Seq("f"))
-    with pytest.raises(NotNormalizable):
-        normalize(Pipe(Custom(g), Seq("g")))
+def test_normalize_fuses_the_seq_runs_around_custom(registry):
+    c = Custom(build_map_graph("split2", "inc", "add2", 2, registry))
+    s = Pipe(Pipe(Seq("f"), Farm(Seq("g"))), Pipe(c, Farm(Pipe(Seq("inc"), Seq("double")))))
+    assert normalize(s) == Farm(Pipe(Pipe(Seq(chain_opcode(["f", "g"])), c),
+                                     Seq(chain_opcode(["inc", "double"]))))
+    assert normalize(Pipe(c, Seq("g"))) == Farm(Pipe(c, Seq("g")))
+    for x in range(-5, 5):
+        assert eval_graph(compile_skeleton(normalize(s)), x, registry) == \
+            eval_skeleton(s, x, registry)
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,6 +136,53 @@ def test_normal_form_semantic_equivalence(s, x):
     g1 = compile_skeleton(s)
     g2 = compile_skeleton(normalize(s))
     assert eval_graph(g1, x, reg) == eval_graph(g2, x, reg)
+
+
+def test_normalize_keeps_the_template_of_a_farm():
+    s = Farm(Seq("work"))
+    assert dump(compile_skeleton(normalize(s))) == dump(compile_skeleton(s))
+
+
+def _custom_graphs():
+    reg = default_registry()
+    return [compile_skeleton(Pipe(Seq("inc"), Seq("double"))),
+            compile_skeleton(Seq("split2")),
+            build_map_graph("split2", "inc", "add2", 2, reg)]
+
+
+def tree_strategy():
+    """Trees over unary stages, split2 (two outputs, packed into one list for
+    the next stage) and Custom leaves.  At most 8 leaves: double and g
+    double a list's length."""
+    leaf = (st.sampled_from(PURE_OPS + ["split2"]).map(Seq)
+            | st.sampled_from(_custom_graphs()).map(Custom))
+    return st.recursive(
+        leaf,
+        lambda inner: st.builds(Pipe, inner, inner) | st.builds(Farm, inner),
+        max_leaves=8,
+    )
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except OpcodeError:
+        return OpcodeError
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_strategy())
+def test_normalize_is_idempotent(s):
+    assert normalize(normalize(s)) == normalize(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_strategy(), st.integers(-10**6, 10**6))
+def test_normal_form_gives_the_tree_s_outcome(s, x):
+    reg = default_registry()
+    want = _outcome(lambda: eval_skeleton(s, x, reg))
+    assert _outcome(lambda: eval_graph(compile_skeleton(s), x, reg)) == want
+    assert _outcome(lambda: eval_graph(compile_skeleton(normalize(s)), x, reg)) == want
 
 
 # -- Custom nodes -------------------------------------------------------------

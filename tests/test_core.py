@@ -274,6 +274,25 @@ def test_chain_memo_stays_bounded(registry):
     assert registry.run(names[-1], [0]) == [599]
 
 
+def test_chain_links_get_codec_copies_as_pipe_stages_do(registry):
+    # the pool hands a stage the decoded copy of its predecessor's output:
+    # a tuple arrives as a list, and several outputs as one list
+    registry.register("pair", lambda x: (x, x))
+    registry.register("app", lambda x: x + [0])
+    assert registry.run(chain_opcode(["pair", "app"]), [1]) == [[1, 1, 0]]
+    assert registry.run(chain_opcode(["split2", "echo"]), [3]) == [[3, 4]]
+    assert registry.run(chain_opcode(["inc", "split2"]), [3]) == [[4, 5]]
+    with pytest.raises(OpcodeError):
+        registry.run(chain_opcode(["split2", "inc"]), [3])
+
+
+def test_multi_output_opcode_that_returns_no_sequence_is_an_opcode_error():
+    reg = OpcodeRegistry()
+    reg.register("bad_split", lambda x: x, out_arity=2)
+    with pytest.raises(OpcodeError):
+        reg.run("bad_split", [1])
+
+
 def test_chain_rejects_non_unary(registry):
     with pytest.raises(ArityMismatch):
         registry.resolve(chain_opcode(["add2"]))

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from mdflow.compiler import compile_skeleton, parse_skeleton
+from mdflow.core import ArityMismatch, UnknownOpcode, dump
 from mdflow.harness import (
     EXIT_INFRA,
     EXIT_OK,
@@ -22,6 +23,7 @@ from mdflow.harness import (
 from mdflow.manager import ParDegree, Throughput, parse_contract
 from mdflow.ops import default_registry
 from mdflow.protocol import WorkerServer
+from mdflow.taskpool import TaskPool
 from mdflow import cli
 
 
@@ -38,14 +40,61 @@ def test_run_matches_oracle_per_seq():
     assert report.results == run_oracle(program, list(range(50)))
 
 
-def test_normalize_flag_preserves_results():
+def test_default_run_of_a_pipe_matches_oracle():
     program = "pipe(seq:inc,pipe(seq:double,seq:inc))"
-    inputs = list(range(30))
-    plain = run_experiment(ExperimentConfig(program=program, tasks=30,
-                                            workers=["local"] * 2))
-    normed = run_experiment(ExperimentConfig(program=program, tasks=30,
-                                             workers=["local"] * 2, normalize=True))
-    assert plain.results == normed.results == run_oracle(program, inputs)
+    report = run_experiment(ExperimentConfig(program=program, tasks=30,
+                                             workers=["local"] * 2))
+    assert report.failures == 0
+    assert report.results == run_oracle(program, list(range(30)))
+
+
+@pytest.mark.parametrize("program,expected", [
+    ("pipe(seq:pair,seq:app)", lambda x: [x, x, 0]),
+    ("pipe(seq:split2,seq:echo)", lambda x: [x, x + 1]),
+], ids=["pair_app", "split2_echo"])
+def test_fused_run_gives_the_oracle_s_results(program, expected):
+    # the session runs one chain opcode where the oracle runs two stages
+    reg = default_registry()
+    reg.register("pair", lambda x: (x, x))
+    reg.register("app", lambda x: x + [0])
+    report = run_experiment(ExperimentConfig(program=program, tasks=20,
+                                             workers=["local"] * 2), registry=reg)
+    assert report.failures == 0
+    assert report.results == run_oracle(program, list(range(20)), reg) == \
+        {x: expected(x) for x in range(20)}
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """The templates a session submits, one entry per task."""
+    templates = []
+    submit = TaskPool.submit_task
+
+    def spy(pool, template, payload):
+        templates.append(template)
+        return submit(pool, template, payload)
+
+    monkeypatch.setattr(TaskPool, "submit_task", spy)
+    return templates
+
+
+def test_session_runs_the_template_compile_skeleton_gives_a_farm(submitted):
+    run_experiment(ExperimentConfig(program="farm(seq:work)", tasks=3))
+    want = dump(compile_skeleton(parse_skeleton("farm(seq:work)")))
+    assert [dump(t) for t in submitted] == [want] * 3
+
+
+def test_session_refuses_a_bad_template_before_any_submit(submitted, tmp_path):
+    # split3 gives three outputs to two dests
+    bad_split = tmp_path / "split.graph"
+    bad_split.write_text("1 _ split3 [_] -> [(_,2,1),(_,2,2)]\n2 _ add2 [_,_] -> [OUT]\n")
+    for program, error in [("pipe(seq:f,seq:nope)", UnknownOpcode),
+                           ("seq:add2", ArityMismatch),
+                           (f"custom:@{bad_split}", ArityMismatch)]:
+        with pytest.raises(error):
+            run_experiment(ExperimentConfig(program=program, tasks=50))
+    assert submitted == []
+    assert cli.main(["run", "--program", "seq:add2", "--tasks", "5"]) == EXIT_INFRA
 
 
 def test_fault_script_run_still_matches_oracle():

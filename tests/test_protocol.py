@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdflow import codec, protocol
-from mdflow.compiler import Seq, compile_skeleton
+from mdflow.compiler import Seq, compile_skeleton, normalize, parse_skeleton
+from mdflow.harness import ExperimentConfig, run_experiment, run_oracle
 from mdflow.core import OpcodeError, OpcodeRegistry
 from mdflow.ops import default_registry
 from mdflow.protocol import (
@@ -359,6 +360,35 @@ def test_manifest_mismatch_at_recruit(server):
     runtime = Runtime(pool, reg, required_opcodes=["not_published"])
     with pytest.raises(OpcodeManifestMismatch):
         runtime.recruit((server.host, server.port))
+
+
+@pytest.mark.parametrize("form", [lambda s: s, normalize], ids=["as_written", "normal"])
+def test_recruitment_asks_for_every_opcode_of_either_form(form):
+    # the normal form's chain(f,g) needs exactly what pipe(seq:f,seq:g) needs
+    template = compile_skeleton(form(parse_skeleton("pipe(seq:f,seq:g)")))
+    opcodes = sorted({i.opcode for i in template.instructions.values()})
+    lacks_g = OpcodeRegistry()
+    lacks_g.register("f", lambda x: x + 1)
+    for reg, accepted in [(lacks_g, False), (default_registry(), True)]:
+        srv = WorkerServer(reg).start()
+        runtime = Runtime(TaskPool(), default_registry(), required_opcodes=opcodes)
+        try:
+            if accepted:
+                assert runtime.recruit((srv.host, srv.port)).kind == "remote"
+            else:
+                with pytest.raises(OpcodeManifestMismatch, match="'g'|chain"):
+                    runtime.recruit((srv.host, srv.port))
+        finally:
+            runtime.shutdown()
+            srv.stop()
+
+
+def test_remote_worker_runs_the_normal_form(server):
+    program = "pipe(farm(seq:f),farm(seq:g))"
+    report = run_experiment(ExperimentConfig(
+        program=program, tasks=500, workers=[(server.host, server.port)]))
+    assert report.failures == 0
+    assert report.results == run_oracle(program, list(range(500)))
 
 
 def test_remote_opcode_fault_fails_graph_keeps_worker(server):

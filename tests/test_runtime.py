@@ -1,4 +1,5 @@
 """Worker control loops: scheduling, balance, faults, stop."""
+import threading
 import time
 
 import pytest
@@ -258,3 +259,30 @@ def test_worker_failing_on_retired_graph_ends_failed():
     assert [str(e) for e in failures] == ["worker lost"]
     assert pool.results[0].error == "sibling fault"
     runtime.shutdown()
+
+
+def test_failure_callback_error_reaches_the_thread_hook(monkeypatch):
+    seen = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: seen.append(args.exc_value))
+
+    def failure_cb(desc, exc):
+        raise RuntimeError(f"callback for worker {desc.wid}")
+
+    pool = TaskPool()
+    runtime = Runtime(pool, default_registry(grain_ms=2.0), failure_cb=failure_cb)
+    descs = [runtime.recruit("local") for _ in range(2)]
+    runtime.start()
+    s = Farm(Seq("f"))
+    t = compile_skeleton(s)
+    for i in range(100):
+        pool.submit_task(t, codec.encode(i))
+    time.sleep(0.05)
+    runtime.kill_worker(descs[0])
+    assert pool.wait_quiescent(30)
+    descs[0]._thread.join(5)
+    assert not descs[0]._thread.is_alive()
+    runtime.shutdown()
+    got = {r.seq: codec.decode(r.value) for r in pool.results}
+    assert got == {i: eval_skeleton(s, i, default_registry()) for i in range(100)}
+    assert descs[0].state == "failed" and descs[1].state == "stopped"
+    assert [str(e) for e in seen] == [f"callback for worker {descs[0].wid}"]

@@ -132,15 +132,10 @@ def _splice_custom(g: MdfGraph, cont: Optional[int],
 
 def normalize(s: Skeleton) -> Skeleton:
     """Rewrite to normal form: a farm of the program's stages in order, each
-    maximal run of adjacent Seq stages fused into one Seq.
-
-    A run of several opcodes becomes one ``chain(...)`` opcode, which runs
-    exactly what the pipe of its stages runs, so fusing never changes a
-    result; a run of one keeps its own opcode.  A Custom node ends a run and
-    stays as it is.  Chain names are never nested: a Seq whose opcode is
-    already a chain contributes its links, so normalizing twice changes
-    nothing.
-    """
+    maximal run of adjacent Seq stages fused into one ``chain(...)`` opcode,
+    which runs exactly what the pipe of those stages runs.  A run of one
+    keeps its opcode, and a Custom node ends a run.  A chain's links are
+    re-fused, never nested, so normalizing twice changes nothing."""
     fused: list[Skeleton] = []
     for is_seq, run in itertools.groupby(_stages(s), key=lambda t: isinstance(t, Seq)):
         if not is_seq:

@@ -2,11 +2,9 @@
 scenarios, fault injection, and the sequential oracle entry point.
 
 `run_experiment` and `bench_adapt` shape the result of one experiment
-session: compile the program's normal form (`compiler.normalize`, which
-never changes a result) and check it against the registry, so an unknown
-opcode or a wiring that does not fit an opcode's arities fails before any
-task is submitted; build the pool, runtime and manager, recruit, submit the
-stream, then follow a single timeline that applies the scripted kills,
+session: compile the program's normal form (`compiler.normalize`) and
+check it against the registry before anything is submitted, build the
+pool, runtime and manager, recruit, submit the stream, then follow a single timeline that applies the scripted kills,
 overloads and the contract arming when due, runs the manager's control tick
 every `tick_s` when the run has a contract, and samples throughput and
 worker count every SAMPLE_S until the pool drains or the run's time is up.
@@ -124,11 +122,9 @@ def _median(xs: Sequence[float]) -> Optional[float]:
 
 def template_cost_ms(template: MdfGraph, registry: OpcodeRegistry) -> float:
     """Ideal sequential compute per task: the sum of synthetic opcode costs.
-
-    Checks the template on the way, so a session can refuse it before it
-    submits anything: UnknownOpcode for an opcode the registry cannot
-    resolve, ArityMismatch for an instruction whose slots differ from its
-    opcode's inputs, or whose several dests differ from its outputs."""
+    Raises UnknownOpcode for an opcode the registry cannot resolve, and
+    ArityMismatch for an instruction whose slots differ from its opcode's
+    inputs, or whose several dests differ from its outputs."""
     cost = 0.0
     for instr in template.instructions.values():
         op = registry.resolve(instr.opcode)

@@ -78,7 +78,7 @@ def submitted(monkeypatch):
     return templates
 
 
-def test_session_runs_the_template_compile_skeleton_gives_a_farm(submitted):
+def test_session_template_of_a_farm_is_compile_skeleton_s(submitted):
     run_experiment(ExperimentConfig(program="farm(seq:work)", tasks=3))
     want = dump(compile_skeleton(parse_skeleton("farm(seq:work)")))
     assert [dump(t) for t in submitted] == [want] * 3

@@ -4,10 +4,11 @@ scenarios, fault injection, and the sequential oracle entry point.
 `run_experiment` and `bench_adapt` shape the result of one experiment
 session: compile the program's normal form (`compiler.normalize`) and
 check it against the registry before anything is submitted, build the
-pool, runtime and manager, recruit, submit the stream, then follow a single timeline that applies the scripted kills,
-overloads and the contract arming when due, runs the manager's control tick
-every `tick_s` when the run has a contract, and samples throughput and
-worker count every SAMPLE_S until the pool drains or the run's time is up.
+pool, runtime and manager, recruit, submit the stream, then follow a single
+timeline that applies the scripted kills, overloads and the contract arming
+when due, runs the manager's control tick every `tick_s` when the run has a
+contract, and samples throughput and worker count every SAMPLE_S until the
+pool drains or the run's time is up.
 The tick handles a broken contract and an unreadable measure itself, and
 logs both in the manager's event log, which the reports carry.
 `ExperimentConfig.from_pairs` turns `key = value` pairs (a config file, or

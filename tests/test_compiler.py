@@ -20,8 +20,8 @@ from mdflow.core import (
     OUT,
     ArityMismatch,
     NoId,
-    canonical_renumber,
     OpcodeError,
+    canonical_renumber,
     chain_opcode,
     dump,
     parse_dump,
@@ -167,7 +167,7 @@ def _outcome(evaluate):
 
 @settings(max_examples=100, deadline=None)
 @given(tree_strategy(), tree_strategy())
-def test_normalize_is_idempotent(s, t):
+def test_normalize_is_idempotent_and_never_nests_chains(s, t):
     assert normalize(normalize(s)) == normalize(s)
     # a chain beside a Seq is re-fused from its links, never nested
     assert normalize(Pipe(normalize(s), normalize(t))) == normalize(Pipe(s, t))

@@ -29,7 +29,6 @@ from .compiler import (
     Pipe,
     Seq,
     Skeleton,
-    build_map_graph,
     compile_skeleton,
     normalize,
     parse_skeleton,
@@ -53,7 +52,7 @@ __all__ = [
     "OUT", "Dest", "MdfGraph", "MdfInstruction", "NoId", "Opcode",
     "OpcodeRegistry", "canonical_renumber", "dump", "is_fireable",
     "make_instruction", "parse_dump", "store_token", "validate_graph",
-    "Custom", "Farm", "Pipe", "Seq", "Skeleton", "build_map_graph",
+    "Custom", "Farm", "Pipe", "Seq", "Skeleton",
     "compile_skeleton", "normalize", "parse_skeleton",
     "ResultRecord", "TaskPool", "Runtime", "WorkerDescriptor", "WorkerServer",
     "EventLog", "Manager", "ParDegree", "Plan", "QoSContract", "Throughput",

@@ -6,11 +6,12 @@
     mdflow bench-adapt --config adapt.cfg
     mdflow oracle --program 'pipe(seq:f,seq:g)' --in tasks.json --out results.json
 
-`run` turns its flags into `key = value` pairs and `bench-adapt` reads them
-from its config file; both build their config with
-`ExperimentConfig.from_pairs`, so the two share one key list.  Both run the
-program's normal form (`compiler.normalize`), which gives the same results
-as the program as written with fewer dispatches per task.
+`run` and `bench-adapt` read their defaults, then their `--config` file,
+then the flags given, as `key = value` pairs with one key list
+(`ExperimentConfig.from_pairs`).  Both run the program's normal form
+(`compiler.normalize`): the same results, fewer dispatches per task.  A
+file, config or program a command cannot use (an unknown key, a bad value)
+exits 3 with one line on stderr, for a run before any worker is recruited.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .harness import (
     run_experiment,
     run_oracle,
 )
+from .core import MdfError
 from .ops import default_registry
 from .protocol import WorkerServer
 
@@ -47,23 +49,28 @@ def _parse_range(spec: str) -> list[int]:
     return values
 
 
-def _script_lines(path: str, key: str) -> list[tuple[str, str]]:
-    return [pair for pair in parse_config_file(path) if pair[0] == key] if path else []
+def _load_config(args: argparse.Namespace, defaults: list[tuple[str, str]],
+                 flags: tuple[str, ...]) -> tuple[ExperimentConfig, str]:
+    """The config and the report path (key `out`) from `defaults`, the
+    `--config` file's pairs, then each of `flags` given; later ones win."""
+    pairs = defaults + (parse_config_file(args.config) if args.config else [])
+    pairs += [(key, getattr(args, key)) for key in flags if getattr(args, key) is not None]
+    out = [value for key, value in pairs if key == "out"]
+    config = ExperimentConfig.from_pairs([pair for pair in pairs if pair[0] != "out"])
+    return config, out[-1] if out else ""
+
+
+#: run's defaults where they differ from ExperimentConfig's, and its flags,
+#: each named after the key it sets
+_RUN_DEFAULTS = [("workers", "local:2")]
+_RUN_FLAGS = ("program", "tasks", "grain", "comm", "workers", "spares", "contract", "out")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    pairs = [("program", args.program), ("tasks", str(args.tasks)),
-             ("grain", str(args.grain)), ("comm", str(args.comm)),
-             ("workers", args.workers), ("spares", args.spares),
-             ("contract", args.contract)]
-    pairs += _script_lines(args.faults, "kill") + _script_lines(args.overload, "overload")
-    try:
-        report = run_experiment(ExperimentConfig.from_pairs(pairs))
-    except Exception as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return EXIT_INFRA
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    config, out = _load_config(args, _RUN_DEFAULTS, _RUN_FLAGS)
+    report = run_experiment(config)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
     print(f"emitted {report.emitted}/{report.tasks} in {report.completion_ms:.0f} ms"
           + (f", efficiency {report.efficiency:.3f}" if report.efficiency else ""))
@@ -105,8 +112,8 @@ _ADAPT_DEFAULTS = [("tasks", "1000"), ("workers", "local:2"), ("spares", "local:
 
 
 def cmd_bench_adapt(args: argparse.Namespace) -> int:
-    pairs = parse_config_file(args.config)
-    report = bench_adapt(ExperimentConfig.from_pairs(_ADAPT_DEFAULTS + pairs))
+    config, out = _load_config(args, _ADAPT_DEFAULTS, ("out",))
+    report = bench_adapt(config)
     doc = {
         "throughput_series": report.throughput_series,
         "worker_series": report.worker_series,
@@ -114,7 +121,6 @@ def cmd_bench_adapt(args: argparse.Namespace) -> int:
         "escalations": report.escalations,
         "emitted": report.emitted,
     }
-    out = dict(pairs).get("out", args.out)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
@@ -137,16 +143,15 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="compile and run a program on a worker pool")
-    p.add_argument("--program", required=True)
-    p.add_argument("--tasks", type=int, default=100)
-    p.add_argument("--grain", type=float, default=0.0, help="compute ms per task")
-    p.add_argument("--comm", type=float, default=0.0, help="injected dispatch delay ms")
-    p.add_argument("--workers", default="local:2")
-    p.add_argument("--spares", default="", help="manager recruitment reserve")
-    p.add_argument("--contract", default="")
-    p.add_argument("--faults", default="", help="fault script file")
-    p.add_argument("--overload", default="", help="overload script file")
-    p.add_argument("--out", default="", help="report JSON path")
+    p.add_argument("--config", help="key = value file; a flag given overrides its key")
+    p.add_argument("--program")
+    p.add_argument("--tasks")
+    p.add_argument("--grain", help="compute ms per task")
+    p.add_argument("--comm", help="injected dispatch delay ms")
+    p.add_argument("--workers", help="initial worker specs (default local:2)")
+    p.add_argument("--spares", help="manager recruitment reserve")
+    p.add_argument("--contract")
+    p.add_argument("--out", help="report JSON path")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("worker", help="start a remote worker daemon")
@@ -165,7 +170,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bench-adapt", help="self-optimization scenario")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default="")
+    p.add_argument("--out", help="report JSON path; overrides the file's out")
     p.set_defaults(fn=cmd_bench_adapt)
 
     p = sub.add_parser("oracle", help="sequential oracle evaluation")
@@ -175,7 +180,12 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_oracle)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError, MdfError) as exc:
+        # a file, config or program the command cannot use: one line, exit 3
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_INFRA
 
 
 if __name__ == "__main__":

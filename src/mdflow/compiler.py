@@ -22,13 +22,11 @@ from typing import Optional
 
 from .core import (
     OUT,
-    ArityMismatch,
     Dest,
     MdfError,
     MdfGraph,
     MdfInstruction,
     NoId,
-    OpcodeRegistry,
     chain_links,
     chain_opcode,
     make_instruction,
@@ -155,36 +153,6 @@ def _stages(s: Skeleton) -> list[Skeleton]:
     if isinstance(s, Pipe):
         return _stages(s.first) + _stages(s.second)
     raise TypeError(f"not a skeleton: {s!r}")
-
-
-def build_map_graph(split: str, worker: str, merge: str, parts: int,
-                    registry: OpcodeRegistry) -> MdfGraph:
-    """Fixed-degree map: split -> `parts` workers -> merge -> OUT.
-
-    split must be declared with `parts` outputs and merge with arity
-    `parts`; the workers are unary.
-    """
-    if parts < 1:
-        raise ArityMismatch(f"parts must be >= 1, got {parts}")
-    split_op = registry.resolve(split)
-    merge_op = registry.resolve(merge)
-    if split_op.out_arity != parts:
-        raise ArityMismatch(f"{split} emits {split_op.out_arity} outputs, need {parts}")
-    if merge_op.in_arity != parts:
-        raise ArityMismatch(f"{merge} has arity {merge_op.in_arity}, need {parts}")
-    instrs: dict[int, MdfInstruction] = {}
-    merge_id = parts + 2
-    worker_ids = list(range(2, parts + 2))
-    instrs[1] = make_instruction(1, NoId, split, 1,
-                                 [Dest(NoId, wid, 1) for wid in worker_ids])
-    for slot, wid in enumerate(worker_ids, start=1):
-        instrs[wid] = make_instruction(wid, NoId, worker, 1, [Dest(NoId, merge_id, slot)])
-    instrs[merge_id] = make_instruction(merge_id, NoId, merge, parts, [OUT])
-    g = MdfGraph(instrs, 1, gid=NoId)
-    violations = validate_graph(g)
-    if violations:
-        raise InvalidCustomGraph(str(violations))
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ contract, and samples throughput and worker count every SAMPLE_S until the
 pool drains or the run's time is up.
 The tick handles a broken contract and an unreadable measure itself, and
 logs both in the manager's event log, which the reports carry.
-`ExperimentConfig.from_pairs` turns `key = value` pairs (a config file, or
-command line flags) into the one config both take.
+`ExperimentConfig.from_pairs` reads `key = value` pairs (a config file,
+then command line flags) into the one config both take, or rejects them.
 
 Grain is realized as sleep inside synthetic opcodes; the injected
 communication delay occupies a shared link exclusively per dispatch, which
@@ -30,12 +30,13 @@ from typing import Any, Callable, Optional, Sequence
 
 from . import codec
 from .compiler import compile_skeleton, normalize, parse_skeleton
-from .core import ArityMismatch, MdfGraph, OpcodeRegistry
+from .core import ArityMismatch, MdfError, MdfGraph, OpcodeRegistry
 from .manager import Contract, Manager, Throughput, parse_contract
 from .ops import default_registry
 from .oracle import eval_skeleton, eval_workflow
 from .runtime import Runtime, WorkerSpec
 from .taskpool import TaskPool
+from .workflow import read_workflow
 
 EXIT_OK = 0
 EXIT_ESCALATED = 2
@@ -74,12 +75,24 @@ class ExperimentConfig:
     @classmethod
     def from_pairs(cls, pairs: list[tuple[str, str]]) -> "ExperimentConfig":
         """Config from `key = value` pairs: a later pair overrides an earlier
-        one, `kill` and `overload` entries add to the scripts, and any other
-        key is ignored."""
-        fields = {_CONFIG_KEYS[k][0]: _CONFIG_KEYS[k][1](v)
-                  for k, v in pairs if k in _CONFIG_KEYS}
-        return cls(fault_script=parse_fault_script(pairs),
-                   overload_script=parse_overload_script(pairs), **fields)
+        one, and each `kill` or `overload` entry adds to its script.  Raises
+        ValueError naming every unknown key, or the first value that does
+        not parse."""
+        unknown = sorted({key for key, _ in pairs if key not in _CONFIG_KEYS})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        fields: dict[str, Any] = {}
+        for key, value in pairs:
+            name, parse = _CONFIG_KEYS[key]
+            try:
+                parsed = parse(value)
+            except (ValueError, MdfError) as exc:
+                raise ValueError(f"bad value for {key}: {value!r} ({exc})") from exc
+            if key in _SCRIPT_KEYS:
+                fields.setdefault(name, []).append(parsed)
+            else:
+                fields[name] = parsed
+        return cls(**fields)
 
 
 @dataclass
@@ -160,8 +173,10 @@ def _run_session(config: ExperimentConfig, registry: Optional[OpcodeRegistry],
     the contract arming when due, tick the manager every `config.tick_s` when
     there is a contract, and sample every SAMPLE_S until the pool drains or
     `duration_s` (the drain timeout when None) runs out."""
-    for _, i, _ in config.overload_script:
-        if config.workers[i] != "local":
+    for _, i, *factor in [*config.fault_script, *config.overload_script]:
+        if not 0 <= i < len(config.workers):
+            raise ValueError(f"script entry for worker {i}: only {len(config.workers)} workers")
+        if factor and config.workers[i] != "local":
             raise ValueError(f"overload entry for worker {i}: only local workers slow down")
     registry = registry or default_registry(config.grain_ms)
     template = compile_skeleton(normalize(parse_skeleton(config.program)))
@@ -321,8 +336,7 @@ def run_oracle(program: str, inputs: Sequence[Any],
     """Sequential evaluation with no pool/runtime involvement, keyed by seq."""
     registry = registry or default_registry()
     if program.startswith("wf:@"):
-        with open(program[4:], "r", encoding="utf-8") as fh:
-            nodes = json.load(fh)
+        nodes = read_workflow(program[4:])
         return {i: eval_workflow(nodes, task, registry) for i, task in enumerate(inputs)}
     skeleton = parse_skeleton(program)
     return {i: eval_skeleton(skeleton, task, registry) for i, task in enumerate(inputs)}
@@ -347,7 +361,8 @@ def parse_workers(spec: str) -> list[WorkerSpec]:
 
 
 def parse_config_file(path: str) -> list[tuple[str, str]]:
-    """TOML-style key = value lines; keys may repeat (script entries)."""
+    """TOML-style key = value lines; keys may repeat (script entries), and a
+    line without `=` is a key with an empty value."""
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -359,24 +374,12 @@ def parse_config_file(path: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def parse_fault_script(pairs: list[tuple[str, str]]) -> list[tuple[float, int]]:
-    """Entries `kill = <time_s>:<worker index>`."""
-    script = []
-    for key, value in pairs:
-        if key == "kill":
-            at, widx = value.split(":")
-            script.append((float(at), int(widx)))
-    return script
-
-
-def parse_overload_script(pairs: list[tuple[str, str]]) -> list[tuple[float, int, float]]:
-    """Entries `overload = <time_s>:<worker index>:<factor>`."""
-    script = []
-    for key, value in pairs:
-        if key == "overload":
-            at, widx, factor = value.split(":")
-            script.append((float(at), int(widx), float(factor)))
-    return script
+def _script_entry(value: str, *types: Callable[[str], Any]) -> tuple:
+    """One script step `a:b[:c]`, each field parsed by its type."""
+    fields = value.split(":")
+    if len(fields) != len(types):
+        raise ValueError(f"needs {len(types)} fields separated by ':'")
+    return tuple(parse(field) for parse, field in zip(types, fields))
 
 
 #: config key -> (ExperimentConfig field, parser of the value text)
@@ -392,4 +395,8 @@ _CONFIG_KEYS: dict[str, tuple[str, Callable[[str], Any]]] = {
     "tick": ("tick_s", float),
     "duration": ("run_duration_s", float),
     "contract_delay": ("contract_delay_s", float),
+    "kill": ("fault_script", lambda v: _script_entry(v, float, int)),  # at_s:worker
+    "overload": ("overload_script",
+                 lambda v: _script_entry(v, float, int, float)),  # at_s:worker:factor
 }
+_SCRIPT_KEYS = ("kill", "overload")  # each entry adds one step to its script

@@ -246,7 +246,10 @@ class StreamResult:
 #   {"name": ..., "opcode": ..., "args": [literal | "$node" | "$node.k"]}
 # "$input" refers to the stream item; the last node is the workflow result.
 
-def load_workflow(source: Union[str, list]) -> Callable[[WorkflowEngine, Any], Future]:
+def read_workflow(source: Union[str, list]) -> list[dict]:
+    """A workflow description's nodes, from a JSON file path or a list;
+    WorkflowFileError unless each node has a new name, an opcode and args,
+    and each `$name.k` names `input` or an earlier node and a part k >= 0."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             nodes = json.load(fh)
@@ -256,18 +259,29 @@ def load_workflow(source: Union[str, list]) -> Callable[[WorkflowEngine, Any], F
         raise WorkflowFileError("workflow file must be a non-empty JSON list")
     seen = {"input"}
     for node in nodes:
-        for key in ("name", "opcode", "args"):
-            if key not in node:
-                raise WorkflowFileError(f"node missing {key!r}: {node}")
+        if not (isinstance(node, dict) and isinstance(node.get("name"), str)
+                and isinstance(node.get("opcode"), str)
+                and isinstance(node.get("args"), list)):
+            raise WorkflowFileError(
+                f"node needs a string name and opcode and a list of args: {node!r}")
         if node["name"] in seen:
             raise WorkflowFileError(f"duplicate node name {node['name']!r}")
         for arg in node["args"]:
             if isinstance(arg, str) and arg.startswith("$"):
-                ref = arg[1:].split(".", 1)[0]
+                ref, dot, part = arg[1:].partition(".")
                 if ref not in seen:
                     raise WorkflowFileError(
                         f"node {node['name']!r} references {ref!r} before definition")
+                if dot and not (part.isascii() and part.isdigit()):
+                    raise WorkflowFileError(f"node {node['name']!r}: part of {arg!r}"
+                                            " is not a non-negative integer")
         seen.add(node["name"])
+    return nodes
+
+
+def load_workflow(source: Union[str, list]) -> Callable[[WorkflowEngine, Any], Future]:
+    """Runner of a description (`read_workflow`): one item -> last node's Future."""
+    nodes = read_workflow(source)
 
     def run(engine: WorkflowEngine, task: Any) -> Future:
         futures: dict[str, Future] = {}

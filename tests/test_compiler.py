@@ -1,4 +1,4 @@
-"""Skeleton compilation, normal form, custom-graph splicing, map builder."""
+"""Skeleton compilation, normal form, custom-graph splicing."""
 import random
 
 import pytest
@@ -11,14 +11,12 @@ from mdflow.compiler import (
     Pipe,
     Seq,
     SkeletonSyntaxError,
-    build_map_graph,
     compile_skeleton,
     normalize,
     parse_skeleton,
 )
 from mdflow.core import (
     OUT,
-    ArityMismatch,
     NoId,
     OpcodeError,
     canonical_renumber,
@@ -33,6 +31,10 @@ from mdflow.ops import default_registry
 from conftest import PURE_OPS, random_skeleton
 
 GOLDEN_FG = "1 1 f [_] -> [(1,2,1)]\n2 1 g [_] -> [OUT]\n"
+
+#: split2 -> two incs -> add2: x becomes (x + 1) + (x + 2)
+MAP2 = ("1 _ split2 [_] -> [(_,2,1),(_,3,1)]\n2 _ inc [_] -> [(_,4,1)]\n"
+        "3 _ inc [_] -> [(_,4,2)]\n4 _ add2 [_,_] -> [OUT]\n")
 
 
 def skeleton_strategy(max_depth=6):
@@ -119,7 +121,7 @@ def test_normalize_matches_direct_composition(registry):
 
 
 def test_normalize_fuses_the_seq_runs_around_custom(registry):
-    c = Custom(build_map_graph("split2", "inc", "add2", 2, registry))
+    c = Custom(parse_dump(MAP2))
     s = Pipe(Pipe(Seq("f"), Farm(Seq("g"))), Pipe(c, Farm(Pipe(Seq("inc"), Seq("double")))))
     assert normalize(s) == Farm(Pipe(Pipe(Seq(chain_opcode(["f", "g"])), c),
                                      Seq(chain_opcode(["inc", "double"]))))
@@ -139,10 +141,9 @@ def test_normal_form_semantic_equivalence(s, x):
 
 
 def _custom_graphs():
-    reg = default_registry()
     return [compile_skeleton(Pipe(Seq("inc"), Seq("double"))),
             compile_skeleton(Seq("split2")),
-            build_map_graph("split2", "inc", "add2", 2, reg)]
+            parse_dump(MAP2)]
 
 
 def tree_strategy():
@@ -185,7 +186,7 @@ def test_normal_form_gives_the_tree_s_outcome(s, x):
 # -- Custom nodes -------------------------------------------------------------
 
 def test_custom_node_spliced_into_pipe(registry):
-    pre = build_map_graph("split2", "inc", "add2", 2, registry)
+    pre = parse_dump(MAP2)
     s = Pipe(Custom(pre), Seq("double"))
     g = compile_skeleton(s)
     assert validate_graph(g) == []
@@ -201,10 +202,12 @@ def test_custom_graph_with_mixed_output_is_rejected():
         compile_skeleton(Pipe(Custom(g), Seq("double")))
 
 
-# -- build_map_graph ----------------------------------------------------------
+# -- fan-out and merge -------------------------------------------------------
 
 def test_map_graph_three_parts(registry):
-    g = build_map_graph("split3", "inc", "merge3", 3, registry)
+    g = parse_dump("1 _ split3 [_] -> [(_,2,1),(_,3,1),(_,4,1)]\n"
+                   "2 _ inc [_] -> [(_,5,1)]\n3 _ inc [_] -> [(_,5,2)]\n"
+                   "4 _ inc [_] -> [(_,5,3)]\n5 _ merge3 [_,_,_] -> [OUT]\n")
     assert len(g.instructions) == 5
     assert validate_graph(g) == []
     merge = g.instructions[5]
@@ -212,21 +215,6 @@ def test_map_graph_three_parts(registry):
     # the split fans out to the three workers
     assert sorted(d.instr_id for d in g.instructions[1].dests) == [2, 3, 4]
     assert eval_graph(g, 10, registry) == [11, 12, 13]
-
-
-def test_map_graph_degenerate(registry):
-    registry.register("split1", lambda x: x, out_arity=1)
-    registry.register("merge1", lambda a: a, in_arity=1)
-    g = build_map_graph("split1", "inc", "merge1", 1, registry)
-    assert len(g.instructions) == 3
-    assert validate_graph(g) == []
-
-
-def test_map_graph_arity_mismatch(registry):
-    with pytest.raises(ArityMismatch):
-        build_map_graph("split3", "inc", "merge2", 3, registry)
-    with pytest.raises(ArityMismatch):
-        build_map_graph("split2", "inc", "merge3", 3, registry)
 
 
 # -- text format --------------------------------------------------------------

@@ -13,8 +13,6 @@ from mdflow.harness import (
     bench_adapt,
     grain_csv,
     parse_config_file,
-    parse_fault_script,
-    parse_overload_script,
     parse_workers,
     run_experiment,
     run_oracle,
@@ -23,7 +21,9 @@ from mdflow.harness import (
 from mdflow.manager import ParDegree, Throughput, parse_contract
 from mdflow.ops import default_registry
 from mdflow.protocol import WorkerServer
+from mdflow.runtime import Runtime
 from mdflow.taskpool import TaskPool
+from mdflow.workflow import WorkflowFileError
 from mdflow import cli
 
 
@@ -198,6 +198,18 @@ def test_run_oracle_workflow_file(tmp_path):
     assert run_oracle(f"wf:@{path}", [5]) == {0: 11}
 
 
+def test_run_oracle_checks_the_workflow_file_as_load_workflow_does(tmp_path):
+    # b is used before it is defined
+    nodes = [
+        {"name": "a", "opcode": "add2", "args": ["$input", "$b"]},
+        {"name": "b", "opcode": "inc", "args": ["$input"]},
+    ]
+    path = tmp_path / "wf.json"
+    path.write_text(json.dumps(nodes))
+    with pytest.raises(WorkflowFileError, match="references 'b' before definition"):
+        run_oracle(f"wf:@{path}", [5])
+
+
 def test_parse_workers():
     assert parse_workers("local:3") == ["local", "local", "local"]
     assert parse_workers("local,host1:7000") == ["local", ("host1", 7000)]
@@ -216,8 +228,26 @@ def test_parse_config_and_scripts(tmp_path):
     )
     pairs = parse_config_file(str(path))
     assert ("contract", "throughput:1.5") in pairs
-    assert parse_fault_script(pairs) == [(10.0, 0), (20.0, 1)]
-    assert parse_overload_script(pairs) == [(60.0, 0, 4.0)]
+    config = ExperimentConfig.from_pairs(pairs)
+    assert config.fault_script == [(10.0, 0), (20.0, 1)]
+    assert config.overload_script == [(60.0, 0, 4.0)]
+
+
+def test_from_pairs_names_every_unknown_key(tmp_path):
+    path = tmp_path / "adapt.cfg"
+    path.write_text("windw = 3\nspraes = local:8\ntasks 5\nnormalize = 1\ntick = 1\n")
+    with pytest.raises(ValueError) as exc_info:
+        ExperimentConfig.from_pairs(parse_config_file(str(path)))
+    assert str(exc_info.value) == "unknown config keys: normalize, spraes, tasks 5, windw"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("tasks", "ten"), ("workers", "local:x"), ("contract", "speed:9000"),
+    ("kill", "1"), ("overload", "1:0"),
+])
+def test_from_pairs_names_the_key_of_a_bad_value(key, value):
+    with pytest.raises(ValueError, match=f"bad value for {key}: '{value}'"):
+        ExperimentConfig.from_pairs([("tasks", "5"), (key, value)])
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -239,6 +269,27 @@ def test_cli_oracle(tmp_path):
                    "--out", str(outfile)])
     assert rc == 0
     assert json.loads(outfile.read_text()) == {"0": 2, "1": 4, "2": 6}
+
+
+@pytest.mark.parametrize("text,cause", [
+    (None, "No such file"),
+    ("[{", "Expecting"),
+    ('[{"name": "a", "opcode": "add2", "args": ["$input", "$b"]},'
+     ' {"name": "b", "opcode": "inc", "args": ["$input"]}]', "before definition"),
+    ('[{"name": "a", "opcode": "inc", "args": ["$input.x"]}]', "non-negative integer"),
+], ids=["missing_file", "bad_json", "forward_reference", "bad_part"])
+def test_cli_oracle_bad_workflow_file_exits_3(text, cause, tmp_path, capsys):
+    wf = tmp_path / "wf.json"
+    if text is not None:
+        wf.write_text(text)
+    infile, outfile = tmp_path / "in.json", tmp_path / "out.json"
+    infile.write_text("[1, 2]")
+    rc = cli.main(["oracle", "--program", f"wf:@{wf}", "--in", str(infile),
+                   "--out", str(outfile)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INFRA
+    assert len(err.splitlines()) == 1 and cause in err
+    assert not outfile.exists()
 
 
 def test_cli_bench_grain_tiny(tmp_path):
@@ -273,6 +324,71 @@ def test_cli_bench_adapt_control_run(tmp_path):
     assert doc["escalations"] == []
 
 
+@pytest.fixture
+def recruited(monkeypatch):
+    """The worker specs a command recruits, in order."""
+    specs = []
+    recruit = Runtime.recruit
+
+    def spy(runtime, spec):
+        specs.append(spec)
+        return recruit(runtime, spec)
+
+    monkeypatch.setattr(Runtime, "recruit", spy)
+    return specs
+
+
+@pytest.mark.parametrize("command", ["run", "bench-adapt"])
+@pytest.mark.parametrize("text,cause", [
+    (None, "No such file"),
+    ("contract = throughput:0.1\nwindw = 3\n", "unknown config keys: windw"),
+    ("contract = throughput:0.1\ntasks = ten\n", "bad value for tasks: 'ten'"),
+], ids=["missing_file", "unknown_key", "bad_value"])
+def test_cli_bad_config_exits_3_before_recruiting(command, text, cause, tmp_path,
+                                                   capsys, submitted, recruited):
+    cfg = tmp_path / "bad.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    rc = cli.main([command, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INFRA
+    assert len(err.splitlines()) == 1 and cause in err
+    assert submitted == [] and recruited == []
+
+
+@pytest.mark.parametrize("contract", ["", "pardegree:2"])
+def test_cli_bench_adapt_without_throughput_contract_exits_3(contract, tmp_path,
+                                                             capsys, recruited):
+    cfg = tmp_path / "adapt.cfg"
+    cfg.write_text(f"contract = {contract}\nduration = 1\n")
+    assert cli.main(["bench-adapt", "--config", str(cfg)]) == EXIT_INFRA
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Throughput contract" in err
+    assert recruited == []
+
+
+def test_cli_run_reads_its_config_file_and_flags_override_it(tmp_path):
+    out = tmp_path / "report.json"
+    cfg = tmp_path / "run.cfg"
+    # 20 ms tasks on one worker: 200 tasks take 4 s, so the file's duration ends the run
+    cfg.write_text(f"program = farm(seq:work)\ntasks = 1000\ngrain = 20\n"
+                   f"workers = local\nduration = 0.4\nout = {out}\n")
+    assert cli.main(["run", "--config", str(cfg), "--tasks", "200"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["tasks"] == 200 and doc["workers"] == 1
+    assert 0 < doc["emitted"] < 200 and doc["completion_ms"] < 2000
+
+
+def test_cli_bench_adapt_out_flag_overrides_the_file_s_out(tmp_path):
+    file_out, flag_out = tmp_path / "file.json", tmp_path / "flag.json"
+    cfg = tmp_path / "adapt.cfg"
+    cfg.write_text(f"tasks = 20\ngrain = 5\ncontract = throughput:0.1\n"
+                   f"contract_delay = 10\nduration = 0.5\nout = {file_out}\n")
+    assert cli.main(["bench-adapt", "--config", str(cfg), "--out", str(flag_out)]) == 0
+    assert json.loads(flag_out.read_text())["emitted"] == 20
+    assert not file_out.exists()
+
+
 def test_cli_run_applies_fault_and_overload_files(tmp_path, monkeypatch):
     reports = []
 
@@ -281,18 +397,15 @@ def test_cli_run_applies_fault_and_overload_files(tmp_path, monkeypatch):
         return reports[-1]
 
     monkeypatch.setattr(cli, "run_experiment", spy)
-    # each file's other key is ignored: --faults only kills, --overload only slows
-    faults = tmp_path / "f.cfg"
-    faults.write_text("kill = 0.1:0\noverload = 0.05:0:9\n")
-    overload = tmp_path / "o.cfg"
-    overload.write_text("overload = 0.05:1:2\nkill = 0.05:1\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kill = 0.1:0\noverload = 0.05:1:2\n")
     server = WorkerServer(default_registry()).start()
     try:
         # 60 dispatches of 5 ms each over the shared link outlast both scripts
         rc = cli.main(["run", "--program", "farm(seq:f)", "--tasks", "60",
                        "--grain", "2", "--comm", "5",
                        "--workers", f"local:2,remote:127.0.0.1:{server.port}",
-                       "--faults", str(faults), "--overload", str(overload)])
+                       "--config", str(cfg)])
     finally:
         server.stop()
     assert rc == 0
@@ -300,6 +413,17 @@ def test_cli_run_applies_fault_and_overload_files(tmp_path, monkeypatch):
     assert report.results == run_oracle("farm(seq:f)", list(range(60)))
     assert [e["detail"] for e in report.events if e["kind"] == "overload"] == \
         [{"worker": 2, "factor": 2.0}]
+
+
+@pytest.mark.parametrize("line", ["kill = 0.1:5", "overload = 0.1:-1:2"])
+def test_script_entry_for_a_worker_the_run_lacks_exits_3_before_recruiting(
+        line, tmp_path, capsys, recruited):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    rc = cli.main(["run", "--program", "farm(seq:f)", "--tasks", "10", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INFRA and recruited == []
+    assert len(err.splitlines()) == 1 and "only 2 workers" in err
 
 
 def test_overload_of_remote_worker_is_rejected_before_start():

@@ -1,5 +1,8 @@
 """Contracts, measures, plan selection, reconfiguration, control loop."""
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -265,6 +268,51 @@ def test_removed_workers_return_to_spares():
     assert mgr.add_worker(1) == 1  # the freed spec is recruitable again
     assert runtime.active_count() == 3
     runtime.shutdown()
+
+
+def test_concurrent_add_workers_reconfigure_one_at_a_time():
+    # two callers at once while 5 ms tasks flow: each reconfiguration is a
+    # whole stop/new/bind/restart group, and nothing dispatches while paused
+    pool = TaskPool()
+    runtime = Runtime(pool, default_registry(grain_ms=5.0))
+    for _ in range(2):
+        runtime.recruit("local")
+    runtime.start()
+    mgr = Manager(runtime, pool, recruit_specs=["local", "local"])
+    template = compile_skeleton(Seq("work"))
+    for i in range(200):
+        pool.submit_task(template, codec.encode(i))
+    barrier = threading.Barrier(2)
+    added = []
+
+    def add():
+        barrier.wait(5)
+        added.append(mgr.add_worker(1))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        time.sleep(0.05)  # dispatches flowing
+        callers = [threading.Thread(target=add) for _ in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert pool.wait_quiescent(30)
+    assert added == [1, 1] and runtime.active_count() == 4
+    runtime.shutdown()
+
+    phases = [e for e in mgr.events.entries()
+              if e["kind"] in ("stop", "new", "bind", "restart")]
+    assert [e["kind"] for e in phases] == ["stop", "new", "bind", "restart"] * 2
+    paused = [(phases[i]["detail"]["pause_ts"], phases[i + 3]["detail"]["resume_ts"])
+              for i in (0, 4)]
+    dispatches = [r.dispatch_ts for r in pool.results]
+    assert len(dispatches) == 200
+    assert [t for t in dispatches for lo, hi in paused if lo < t < hi] == []
 
 
 # -- control_tick -------------------------------------------------------------

@@ -277,6 +277,29 @@ def test_load_workflow_validation():
         ])
 
 
+@pytest.mark.parametrize("nodes", [
+    [{"name": "a", "opcode": "inc", "args": ["$input.x"]}],
+    [{"name": "a", "opcode": "split2", "args": ["$input"]},
+     {"name": "b", "opcode": "inc", "args": ["$a.zero"]}],
+    [{"name": "a", "opcode": "split2", "args": ["$input"]},
+     {"name": "b", "opcode": "inc", "args": ["$a.-1"]}],
+    [{"name": "a", "opcode": "split2", "args": ["$input"]},
+     {"name": "b", "opcode": "inc", "args": ["$a."]}],
+], ids=["input_x", "a_zero", "a_minus_1", "a_empty"])
+def test_load_workflow_rejects_a_part_that_is_not_a_non_negative_integer(nodes):
+    with pytest.raises(WorkflowFileError, match="not a non-negative integer"):
+        load_workflow(nodes)
+
+
+@pytest.mark.parametrize("nodes", [
+    [1], [{"name": "a", "opcode": "inc", "args": "$input"}],
+    [{"name": ["a"], "opcode": "inc", "args": []}],
+], ids=["not_an_object", "args_not_a_list", "name_not_a_string"])
+def test_load_workflow_rejects_a_malformed_node(nodes):
+    with pytest.raises(WorkflowFileError, match="node needs"):
+        load_workflow(nodes)
+
+
 def random_dag(rng, registry):
     """A random workflow description of at most 12 nodes."""
     unary = ["inc", "double", "identity", "f", "g"]

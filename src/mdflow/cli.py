@@ -56,6 +56,8 @@ def _load_config(args: argparse.Namespace, defaults: list[tuple[str, str]],
     pairs = defaults + (parse_config_file(args.config) if args.config else [])
     pairs += [(key, getattr(args, key)) for key in flags if getattr(args, key) is not None]
     out = [value for key, value in pairs if key == "out"]
+    if None in out:
+        raise ValueError("no '=' after out")
     config = ExperimentConfig.from_pairs([pair for pair in pairs if pair[0] != "out"])
     return config, out[-1] if out else ""
 

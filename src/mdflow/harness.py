@@ -73,17 +73,19 @@ class ExperimentConfig:
     drain_timeout_s: float = 600.0
 
     @classmethod
-    def from_pairs(cls, pairs: list[tuple[str, str]]) -> "ExperimentConfig":
+    def from_pairs(cls, pairs: list[tuple[str, Optional[str]]]) -> "ExperimentConfig":
         """Config from `key = value` pairs: a later pair overrides an earlier
         one, and each `kill` or `overload` entry adds to its script.  Raises
-        ValueError naming every unknown key, or the first value that does
-        not parse."""
+        ValueError naming every unknown key, or the first key given no value
+        (None, a bare line) or a value that does not parse."""
         unknown = sorted({key for key, _ in pairs if key not in _CONFIG_KEYS})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         fields: dict[str, Any] = {}
         for key, value in pairs:
             name, parse = _CONFIG_KEYS[key]
+            if value is None:
+                raise ValueError(f"no '=' after {key}")
             try:
                 parsed = parse(value)
             except (ValueError, MdfError) as exc:
@@ -360,17 +362,17 @@ def parse_workers(spec: str) -> list[WorkerSpec]:
     return specs
 
 
-def parse_config_file(path: str) -> list[tuple[str, str]]:
-    """TOML-style key = value lines; keys may repeat (script entries), and a
-    line without `=` is a key with an empty value."""
+def parse_config_file(path: str) -> list[tuple[str, Optional[str]]]:
+    """TOML-style key = value lines; keys may repeat (script entries).  A
+    line without `=` comes back whole as `(line, None)`."""
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            pairs.append((key.strip(), value.strip()))
+            key, eq, value = line.partition("=")
+            pairs.append((key.strip(), value.strip()) if eq else (line, None))
     return pairs
 
 

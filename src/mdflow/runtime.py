@@ -1,8 +1,10 @@
 """The distributed macro data-flow interpreter.
 
 One control loop per recruited worker fetches fireable instructions from
-the task pool and has them executed.  A local worker's loop executes each
-instruction in process and delivers its output tokens.  A remote worker's
+the task pool and has them executed.  A local worker's loop takes a batch
+of about LOCAL_BATCH_S of work, sized by the execution time it measured for
+its last batch, executes it in process and delivers the output tokens of
+the whole batch under one hold of the pool lock.  A remote worker's
 loop is a sender: it keeps up to PIPELINE_DEPTH EXECs in flight on the
 worker's connection, and a reader thread per connection takes the replies
 in order and delivers them.  A worker failure requeues every instruction it
@@ -38,6 +40,11 @@ REMOTE_DEADLINE_S = 10.0
 
 #: EXECs a remote worker keeps in flight on its connection
 PIPELINE_DEPTH = 16
+
+#: measured execution time a local worker's batch aims at (seconds), and the
+#: most instructions one batch takes
+LOCAL_BATCH_S = 0.001
+LOCAL_BATCH_MAX = 64
 
 
 class Unreachable(MdfError):
@@ -267,31 +274,48 @@ class Runtime:
     # -- the control loops ---------------------------------------------------
 
     def _control_loop(self, desc: WorkerDescriptor) -> None:
-        pool = self.pool
+        """A local worker's loop.  The first batch is one instruction; each
+        later one is sized so that it holds about LOCAL_BATCH_S of the
+        execution time per instruction that the last batch measured."""
+        pool, limit = self.pool, 1
         while not desc._stop.is_set():
             if desc._killed.is_set():
                 self._fail(desc, WorkerKilled(f"worker {desc.wid} died"))
                 return
-            item = pool.fetch_fireable(0.05)
-            if item is None:
+            batch = pool.fetch_batch(0.05, limit)
+            if not batch:
                 continue
-            gid, instr = item
             desc.state = "busy"
+            done: list[tuple[int, int, list[bytes]]] = []
             t0 = time.monotonic()
-            try:
-                if self.comm_delay_ms > 0:
-                    self._use_link()
-                outcome = desc._executor.execute(desc, instr)
-            except DETERMINISTIC_FAULTS as exc:
-                outcome = exc
-            except Exception as exc:
-                with contextlib.suppress(NotInFlight):  # a sibling failed the graph
-                    pool.requeue(gid, instr.id)
-                self._fail(desc, exc)
-                return
-            self._finish(desc, gid, instr.id, outcome, time.monotonic() - t0)
+            for i, (gid, instr) in enumerate(batch):
+                try:
+                    if self.comm_delay_ms > 0:
+                        self._use_link()
+                    done.append((gid, instr.id, desc._executor.execute(desc, instr)))
+                except DETERMINISTIC_FAULTS as exc:
+                    pool.fail_graph(gid, str(exc))
+                except Exception as exc:
+                    self._complete_batch(desc, done, time.monotonic() - t0)
+                    for gid, instr in reversed(batch[i:]):  # the oldest ends up first
+                        with contextlib.suppress(NotInFlight):  # a sibling failed the graph
+                            pool.requeue(gid, instr.id)
+                    self._fail(desc, exc)
+                    return
+            busy_s = time.monotonic() - t0
+            self._complete_batch(desc, done, busy_s)
+            per_instruction_s = max(busy_s, 1e-9) / len(batch)
+            limit = max(1, min(LOCAL_BATCH_MAX, int(LOCAL_BATCH_S / per_instruction_s)))
             desc.state = "idle"
         desc.state = "stopped"
+
+    def _complete_batch(self, desc: WorkerDescriptor,
+                        done: list[tuple[int, int, list[bytes]]], busy_s: float) -> None:
+        """Complete a local batch's executed instructions and count them, with
+        `busy_s`, toward the worker's statistics."""
+        self.pool.complete_batch(done)
+        desc.completed += len(done)
+        desc.busy_ms += busy_s * 1000.0
 
     def _remote_loop(self, desc: WorkerDescriptor) -> None:
         """A remote worker's sender: keep up to PIPELINE_DEPTH EXECs in flight
@@ -391,18 +415,15 @@ class Runtime:
 
     def _finish(self, desc: WorkerDescriptor, gid: int, iid: int,
                 outcome: Union[list[bytes], Exception], busy_s: float) -> None:
-        """Apply the fault policy to one execution's outcome: its outputs, or
-        the deterministic fault it raised.  Outputs complete the instruction
-        and count `busy_s` as the worker's busy time; a deterministic fault,
-        or a wiring fault that `complete` finds, fails the instruction's
-        graph and keeps the worker."""
+        """Apply the fault policy to one remote execution's outcome: its
+        outputs, or the deterministic fault it raised.  Outputs complete the
+        instruction and count `busy_s` as the worker's busy time; a
+        deterministic fault fails the instruction's graph and keeps the
+        worker (`complete` does the same for a wiring fault)."""
         if isinstance(outcome, Exception):
             self.pool.fail_graph(gid, str(outcome))
             return
-        try:
-            self.pool.complete(gid, iid, outcome)
-        except MdfError as exc:
-            self.pool.fail_graph(gid, str(exc))
+        self.pool.complete(gid, iid, outcome)
         desc.completed += 1
         desc.busy_ms += busy_s * 1000.0
 

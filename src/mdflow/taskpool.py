@@ -7,6 +7,11 @@ ResultRecords.  Execution is at-least-once (a requeued instruction may run
 twice) but emission is exactly-once: completions are deduplicated by
 per-instruction marks that live in the graph's record and go with it when
 the graph retires.
+
+Waiters are woken once per hold of the pool lock: the code under the lock
+only counts what it made ready, and the public method that took the lock
+wakes one waiter per new queue entry, or every waiter if a graph retired,
+as it lets the lock go.  A batch of completions therefore wakes once.
 """
 from __future__ import annotations
 
@@ -79,7 +84,9 @@ class TaskPool:
 
     Many producers (submitters, token deliverers) and many consumers
     (worker control loops) operate concurrently; token storage, the
-    fireability check and enqueueing are atomic per instruction.
+    fireability check and enqueueing are atomic per instruction.  Each
+    method that changes the queue or retires graphs wakes waiters once, in
+    `_wake`, before it releases the lock.
     """
 
     def __init__(self) -> None:
@@ -88,6 +95,10 @@ class TaskPool:
         #: (gid, iid) of fireable instructions; a key whose instruction is no
         #: longer QUEUED (its graph retired, or it completed late) is skipped
         self._queue: deque[tuple[int, int]] = deque()
+        #: queue entries made, and whether a graph retired, since the last
+        #: `_wake`
+        self._enqueued = 0
+        self._retired = False
         self._gids = itertools.count(1)
         self._submitted = 0
         self._closed = False
@@ -109,7 +120,9 @@ class TaskPool:
             graph = instantiate(template, next(self._gids))
             instr = graph.instructions[graph.input_id]
             store_token(instr, 1, payload)
-            return self._register(graph, instr)
+            gid = self._register(graph, instr)
+            self._wake()
+            return gid
 
     def submit_call(self, opcode: str, payloads: list[bytes],
                     on_emit: Optional[Callable[[ResultRecord], None]] = None) -> int:
@@ -121,7 +134,9 @@ class TaskPool:
             instr = make_instruction(1, gid, opcode, len(payloads), [OUT])
             for slot, p in enumerate(payloads, start=1):
                 store_token(instr, slot, p)
-            return self._register(MdfGraph({1: instr}, 1, gid=gid), instr, on_emit)
+            self._register(MdfGraph({1: instr}, 1, gid=gid), instr, on_emit)
+            self._wake()
+            return gid
 
     def _register(self, graph: MdfGraph, first: MdfInstruction,
                   on_emit: Optional[Callable[[ResultRecord], None]] = None) -> int:
@@ -137,7 +152,17 @@ class TaskPool:
         if instr.id not in live.state and is_fireable(instr):
             live.state[instr.id] = QUEUED
             self._queue.append((gid, instr.id))
-            self._cond.notify()
+            self._enqueued += 1
+
+    def _wake(self) -> None:
+        """Wake the waiters for what this hold of the lock made ready: every
+        waiter if a graph retired (`wait_quiescent` waits too), else one per
+        new queue entry.  Called under the lock, once per public method."""
+        if self._retired:
+            self._cond.notify_all()
+        elif self._enqueued:
+            self._cond.notify(self._enqueued)
+        self._enqueued, self._retired = 0, False
 
     def close(self) -> None:
         with self._cond:
@@ -173,65 +198,95 @@ class TaskPool:
             live.on_emit(record)
         for sink in self._sinks:
             sink(record)
-        self._cond.notify_all()
+        self._retired = True
 
     def complete(self, gid: int, iid: int, outputs: list[bytes]) -> bool:
-        """Record a finished execution and deliver its outputs atomically.
+        """Record a finished execution and deliver its outputs atomically: a
+        batch of one (`complete_batch`)."""
+        return self.complete_batch([(gid, iid, outputs)])[0]
 
-        Returns False (and delivers nothing) for duplicates: a second
-        completion of a requeued instruction, or a completion arriving after
-        the graph retired.  An output count that fits neither the dests nor
-        a single dest, or outputs that do not decode where a single dest
-        needs them re-encoded, fail the graph: the instruction is at fault."""
+    def complete_batch(self, items: list[tuple[int, int, list[bytes]]]) -> list[bool]:
+        """Complete each `(gid, iid, outputs)` in turn under one hold of the
+        lock, waking waiters once at its end; one flag per item.
+
+        An item's flag is False (and it delivers nothing) for a duplicate: a
+        second completion of a requeued instruction, or a completion arriving
+        after the graph retired.  An output count that fits neither the dests
+        nor a single dest, outputs that do not decode where a single dest
+        needs them re-encoded, or a token its dest cannot take fail the
+        item's graph, and the batch goes on: the instruction is at fault."""
         with self._cond:
-            live = self._graphs.get(gid)
-            if live is None or live.state.get(iid) == DONE:
-                return False
-            live.state[iid] = DONE
-            instr = live.graph.instructions[iid]
-            dests = instr.dests
-            if len(outputs) != len(dests):
-                if len(dests) != 1:
-                    self._retire(gid, None, iid, error=(
-                        f"instruction {iid}: {len(outputs)} outputs for {len(dests)} dests"))
-                    return True
-                # multi-output opcode behind a single destination: the
-                # token carries the whole output vector
-                try:
-                    outputs = [codec.encode([codec.decode(o) for o in outputs])]
-                except codec.CodecError as exc:
-                    self._retire(gid, None, iid, error=f"instruction {iid}: {exc}")
-                    return True
+            try:
+                return [self._complete(gid, iid, outputs) for gid, iid, outputs in items]
+            finally:
+                self._wake()
+
+    def _complete(self, gid: int, iid: int, outputs: list[bytes]) -> bool:
+        live = self._graphs.get(gid)
+        if live is None or live.state.get(iid) == DONE:
+            return False
+        live.state[iid] = DONE
+        dests = live.graph.instructions[iid].dests
+        if len(outputs) != len(dests):
+            if len(dests) != 1:
+                self._retire(gid, None, iid, error=(
+                    f"instruction {iid}: {len(outputs)} outputs for {len(dests)} dests"))
+                return True
+            # multi-output opcode behind a single destination: the token
+            # carries the whole output vector
+            try:
+                outputs = [codec.encode([codec.decode(o) for o in outputs])]
+            except codec.CodecError as exc:
+                self._retire(gid, None, iid, error=f"instruction {iid}: {exc}")
+                return True
+        try:
             for dest, value in zip(dests, outputs):
                 self._deliver(gid, dest, value, iid)
-            return True
+        except MdfError as exc:  # a wiring fault
+            if gid in self._graphs:
+                self._retire(gid, None, None, error=str(exc))
+        return True
 
     def fail_graph(self, gid: int, message: str) -> None:
         """Retire a graph with a failure record (deterministic opcode fault)."""
         with self._cond:
             if gid in self._graphs:
                 self._retire(gid, None, None, error=message)
+                self._wake()
 
     # -- worker-facing ------------------------------------------------------
 
     def fetch_fireable(self, timeout: float) -> Optional[tuple[int, MdfInstruction]]:
         """Oldest enqueued fireable instruction, marked in-flight; None after
-        the timeout with an empty (or paused) queue."""
+        the timeout with an empty (or paused) queue.  A batch of one."""
+        batch = self.fetch_batch(timeout, 1)
+        return batch[0] if batch else None
+
+    def fetch_batch(self, timeout: float, limit: int) -> list[tuple[int, MdfInstruction]]:
+        """Up to `limit` of the oldest enqueued fireable instructions as
+        `(gid, instr)`, oldest first, each marked in-flight with one dispatch
+        time.  Waits only for the first: a short queue gives a short batch.
+        [] after the timeout with an empty (or paused) queue."""
         deadline = time.monotonic() + timeout
         with self._cond:
             while True:
                 if not self._paused and self._queue:
-                    gid, iid = self._queue.popleft()
-                    live = self._graphs.get(gid)
-                    if live is None or live.state[iid] != QUEUED:
-                        continue
-                    live.state[iid] = IN_FLIGHT
-                    live.dispatched[iid] = time.time()
-                    # no copy: a fireable instruction's slots are full for good
-                    return gid, live.graph.instructions[iid]
+                    queue, graphs, batch = self._queue, self._graphs, []
+                    now = time.time()
+                    while queue and len(batch) < limit:
+                        gid, iid = queue.popleft()
+                        live = graphs.get(gid)
+                        if live is None or live.state[iid] != QUEUED:
+                            continue
+                        live.state[iid] = IN_FLIGHT
+                        live.dispatched[iid] = now
+                        # no copy: a fireable instruction's slots are full for good
+                        batch.append((gid, live.graph.instructions[iid]))
+                    if batch:
+                        return batch
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    return None
+                    return []
                 self._cond.wait(remaining)
 
     def requeue(self, gid: int, iid: int) -> None:

@@ -356,6 +356,21 @@ def test_cli_bad_config_exits_3_before_recruiting(command, text, cause, tmp_path
     assert submitted == [] and recruited == []
 
 
+@pytest.mark.parametrize("key", ["spares", "contract", "out"])
+def test_cli_run_bare_known_key_exits_3_before_recruiting(key, tmp_path, capsys,
+                                                          recruited):
+    # a line without `=` sets nothing: it is an error, not an empty value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tasks = 10\n{key}\n")
+    rc = cli.main(["run", "--program", "farm(seq:f)", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INFRA and recruited == []
+    assert len(err.splitlines()) == 1 and f"no '=' after {key}" in err
+    if key != "out":
+        with pytest.raises(ValueError, match=f"^no '=' after {key}$"):
+            ExperimentConfig.from_pairs(parse_config_file(str(cfg)))
+
+
 @pytest.mark.parametrize("contract", ["", "pardegree:2"])
 def test_cli_bench_adapt_without_throughput_contract_exits_3(contract, tmp_path,
                                                              capsys, recruited):

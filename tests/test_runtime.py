@@ -5,7 +5,7 @@ import time
 import pytest
 
 from mdflow import codec
-from mdflow.compiler import Farm, Seq, compile_skeleton
+from mdflow.compiler import Farm, Pipe, Seq, compile_skeleton
 from mdflow.core import parse_dump, validate_graph
 from mdflow.ops import default_registry
 from mdflow.oracle import eval_skeleton
@@ -286,3 +286,102 @@ def test_failure_callback_error_reaches_the_thread_hook(monkeypatch):
     assert got == {i: eval_skeleton(s, i, default_registry()) for i in range(100)}
     assert descs[0].state == "failed" and descs[1].state == "stopped"
     assert [str(e) for e in seen] == [f"callback for worker {descs[0].wid}"]
+
+
+# -- local batches --------------------------------------------------------
+
+def record_batches(pool):
+    """Wrap the pool's fetch_batch: returns (calls, sizes by thread) lists
+    that fill as the control loops fetch."""
+    fetch, calls, sizes = pool.fetch_batch, [], {}
+
+    def fetch_batch(timeout, limit):
+        batch = fetch(timeout, limit)
+        calls.append(len(batch))
+        if batch:
+            sizes.setdefault(threading.get_ident(), []).append(len(batch))
+        return batch
+
+    pool.fetch_batch = fetch_batch
+    return calls, sizes
+
+
+class KillMidBatch:
+    """Executor that kills its worker after the k-th instruction of the first
+    batch it is given that has instructions left after the (k + 1)-th."""
+
+    def __init__(self, inner, sizes, k):
+        self.inner, self.sizes, self.k = inner, sizes, k
+        self.batches = self.ran = 0  # batches fetched; instructions run of the last
+        self.killed_in = None  # size of the batch the kill landed in
+
+    def execute(self, desc, instr):
+        outputs = self.inner.execute(desc, instr)  # raises once killed
+        mine = self.sizes[threading.get_ident()]
+        if len(mine) != self.batches:  # the first instruction of a new batch
+            self.batches, self.ran = len(mine), 0
+        self.ran += 1
+        if self.killed_in is None and self.ran == self.k and mine[-1] > self.k + 1:
+            self.killed_in = mine[-1]
+            desc._killed.set()
+        return outputs
+
+    def close(self):
+        self.inner.close()
+
+
+def test_worker_killed_mid_batch_requeues_the_rest_and_emits_once():
+    s = Pipe(Farm(Seq("f")), Farm(Seq("g")))
+    t = compile_skeleton(s)
+    pool, reg = TaskPool(), default_registry()
+    _, sizes = record_batches(pool)
+    runtime = Runtime(pool, reg)
+    victim, other = runtime.recruit("local"), runtime.recruit("local")
+    killer = victim._executor = KillMidBatch(victim._executor, sizes, k=3)
+    pool.pause_dispatch()  # a backlog, so batches grow past k + 1
+    for i in range(2000):
+        pool.submit_task(t, codec.encode(i))
+    runtime.start()
+    pool.resume_dispatch()
+    assert pool.wait_quiescent(30)
+    victim._thread.join(5)
+    runtime.shutdown()
+    assert killer.killed_in is not None and killer.killed_in > 4
+    assert victim.state == "failed" and other.state == "stopped"
+    assert sorted(r.seq for r in pool.results) == list(range(2000))
+    got = {r.seq: codec.decode(r.value) for r in pool.results}
+    assert got == {i: eval_skeleton(s, i, reg) for i in range(2000)}
+
+
+def test_local_fetch_at_5ms_grain_takes_one_instruction():
+    registry = default_registry(grain_ms=5.0)
+    pool = TaskPool()
+    _, sizes = record_batches(pool)
+    runtime = Runtime(pool, registry)
+    for _ in range(2):
+        runtime.recruit("local")
+    runtime.start()
+    t = compile_skeleton(Farm(Seq("work")))
+    for i in range(40):
+        pool.submit_task(t, codec.encode(i))
+    assert pool.wait_quiescent(30)
+    runtime.shutdown()
+    fetched = [n for per_thread in sizes.values() for n in per_thread]
+    assert sum(fetched) == 40 and max(fetched) == 1
+
+
+def test_local_fetch_at_zero_grain_takes_batches():
+    pool = TaskPool()
+    calls, _ = record_batches(pool)
+    runtime = Runtime(pool, default_registry())
+    desc = runtime.recruit("local")
+    t = compile_skeleton(Seq("f"))
+    pool.pause_dispatch()
+    for i in range(2000):
+        pool.submit_task(t, codec.encode(i))
+    runtime.start()
+    pool.resume_dispatch()
+    assert pool.wait_quiescent(30)
+    runtime.shutdown()
+    assert desc.completed == 2000 and sum(calls) == 2000
+    assert len(calls) < 2000 // 4

@@ -8,7 +8,7 @@ import pytest
 
 from mdflow import codec
 from mdflow.compiler import Farm, Pipe, Seq, compile_skeleton
-from mdflow.core import is_fireable
+from mdflow.core import is_fireable, parse_dump
 from mdflow.ops import default_registry
 from mdflow.runtime import Runtime
 from mdflow.taskpool import NotInFlight, PoolClosed, TaskPool
@@ -266,3 +266,103 @@ def test_result_timestamps_ordered(pool):
     pool.complete(gid, instr.id, [codec.encode(0)])
     r = pool.results[0]
     assert r.complete_ts >= r.dispatch_ts
+
+
+# -- batches --------------------------------------------------------------
+
+def test_fetch_batch_is_fifo_and_takes_at_most_limit(pool):
+    t = compile_skeleton(Seq("f"))
+    gids = [pool.submit_task(t, codec.encode(i)) for i in range(5)]
+    first = pool.fetch_batch(0.1, 3)
+    assert [gid for gid, _ in first] == gids[:3]
+    assert [gid for gid, _ in pool.fetch_batch(0.1, 3)] == gids[3:]
+    assert pool.metrics()["in_flight"] == 5
+
+
+def test_fetch_batch_does_not_wait_to_fill(pool):
+    t = compile_skeleton(Seq("f"))
+    for i in range(3):
+        pool.submit_task(t, codec.encode(i))
+    t0 = time.monotonic()
+    assert len(pool.fetch_batch(5.0, 8)) == 3
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_fetch_batch_while_paused_is_empty_after_the_timeout(pool):
+    pool.submit_task(compile_skeleton(Seq("f")), codec.encode(1))
+    pool.pause_dispatch()
+    t0 = time.monotonic()
+    assert pool.fetch_batch(0.05, 8) == []
+    assert time.monotonic() - t0 >= 0.05
+    pool.resume_dispatch()
+    assert len(pool.fetch_batch(0.1, 8)) == 1
+
+
+def test_fetch_batch_skips_stale_keys(pool):
+    t = compile_skeleton(Seq("f"))
+    a, b, c = (pool.submit_task(t, codec.encode(i)) for i in range(3))
+    pool.fail_graph(b, "gone")  # b's queue key is now stale
+    assert [gid for gid, _ in pool.fetch_batch(0.1, 8)] == [a, c]
+
+
+def test_complete_batch_duplicate_returns_nothing_new(pool):
+    gid = pool.submit_task(compile_skeleton(Seq("f")), codec.encode(1))
+    [(_, instr)] = pool.fetch_batch(0.1, 8)
+    done = [(gid, instr.id, [codec.encode(2)]), (gid, instr.id, [codec.encode(3)])]
+    assert pool.complete_batch(done) == [True, False]
+    assert pool.complete_batch(done[:1]) == [False]
+    assert [codec.decode(r.value) for r in pool.results] == [2]
+
+
+def test_complete_batch_wiring_fault_fails_only_its_graph(pool):
+    bad_slot = parse_dump("1 _ inc [_] -> [(_,2,2)]\n2 _ inc [_] -> [OUT]\n")
+    bad = pool.submit_task(bad_slot, codec.encode(1))
+    good = pool.submit_task(compile_skeleton(Seq("f")), codec.encode(1))
+    batch = pool.fetch_batch(0.1, 8)
+    assert pool.complete_batch([(gid, instr.id, [codec.encode(2)])
+                                for gid, instr in batch]) == [True, True]
+    records = {r.gid: r for r in pool.results}
+    assert "slot 2 of 1" in records[bad].error
+    assert records[good].error is None and codec.decode(records[good].value) == 2
+    assert pool.pending_count() == 0
+
+
+def test_complete_batch_wakes_a_fetcher_per_instruction_it_made_fireable(pool, fg_template):
+    for i in range(2):
+        pool.submit_task(fg_template, codec.encode(i))
+    batch = pool.fetch_batch(0.1, 8)
+    got, waited = [], []
+
+    def fetcher():
+        t0 = time.monotonic()
+        got.append(pool.fetch_fireable(5.0))
+        waited.append(time.monotonic() - t0)
+
+    threads = [threading.Thread(target=fetcher) for _ in range(2)]
+    for th in threads:
+        th.start()
+    time.sleep(0.05)  # both block on the empty queue
+    pool.complete_batch([(gid, instr.id, [codec.encode(0)]) for gid, instr in batch])
+    for th in threads:
+        th.join(5.0)
+        assert not th.is_alive()
+    assert sorted((gid, instr.id) for gid, instr in got) == [(gid, 2) for gid, _ in batch]
+    assert max(waited) < 2.0
+
+
+def test_complete_batch_retiring_the_last_graph_wakes_wait_quiescent(pool):
+    t = compile_skeleton(Seq("f"))
+    for i in range(2):
+        pool.submit_task(t, codec.encode(i))
+    batch = pool.fetch_batch(0.1, 8)
+    returned = []
+    waiter = threading.Thread(
+        target=lambda: returned.append((pool.wait_quiescent(5.0), time.monotonic())))
+    waiter.start()
+    time.sleep(0.05)  # the waiter is inside its first 0.25 s wait
+    done_at = time.monotonic()
+    pool.complete_batch([(gid, instr.id, [codec.encode(0)]) for gid, instr in batch])
+    waiter.join(5.0)
+    assert not waiter.is_alive()
+    [(quiet, at)] = returned
+    assert quiet and at - done_at < 0.15

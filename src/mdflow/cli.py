@@ -9,9 +9,11 @@
 `run` and `bench-adapt` read their defaults, then their `--config` file,
 then the flags given, as `key = value` pairs with one key list
 (`ExperimentConfig.from_pairs`).  Both run the program's normal form
-(`compiler.normalize`): the same results, fewer dispatches per task.  A
-file, config or program a command cannot use (an unknown key, a bad value)
-exits 3 with one line on stderr, for a run before any worker is recruited.
+(`compiler.normalize`): the same results, fewer dispatches per task, and
+both write one report, `RunReport.to_json()`, and exit with its code.  A
+file, config or program a command cannot use (an unknown key, a bad or
+out-of-range value) exits 3 with one line on stderr, for a run before any
+worker is recruited.
 """
 from __future__ import annotations
 
@@ -22,9 +24,9 @@ import sys
 import threading
 
 from .harness import (
-    EXIT_ESCALATED,
     EXIT_INFRA,
     ExperimentConfig,
+    RunReport,
     bench_adapt,
     bench_grain,
     grain_csv,
@@ -68,15 +70,23 @@ _RUN_DEFAULTS = [("workers", "local:2")]
 _RUN_FLAGS = ("program", "tasks", "grain", "comm", "workers", "spares", "contract", "out")
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    config, out = _load_config(args, _RUN_DEFAULTS, _RUN_FLAGS)
-    report = run_experiment(config)
+def _finish(report: RunReport, out: str) -> int:
+    """Write the report to `out` (when given), print its summary and return
+    its exit code."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
+    reconfigurations = sum(e["kind"] in ("add_worker", "remove_worker") for e in report.events)
     print(f"emitted {report.emitted}/{report.tasks} in {report.completion_ms:.0f} ms"
-          + (f", efficiency {report.efficiency:.3f}" if report.efficiency else ""))
+          + (f", efficiency {report.efficiency:.3f}" if report.efficiency else "")
+          + f", reconfigurations {reconfigurations}"
+          + (", escalated" if report.escalated else ""))
     return report.exit_code
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    config, out = _load_config(args, _RUN_DEFAULTS, _RUN_FLAGS)
+    return _finish(run_experiment(config), out)
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
@@ -99,6 +109,11 @@ def cmd_worker(args: argparse.Namespace) -> int:
 def cmd_bench_grain(args: argparse.Namespace) -> int:
     grains = [float(g) for g in args.grains.split(",")]
     workers = _parse_range(args.workers)
+    # a grain of 0 has no efficiency to report, and a row with no worker never drains
+    if not all(grain > 0 for grain in grains):
+        raise ValueError(f"every grain must be greater than 0: {args.grains}")
+    if not all(count >= 1 for count in workers):
+        raise ValueError(f"every worker count must be at least 1: {args.workers}")
     rows = bench_grain(grains, workers, tasks=args.tasks, comm_delay_ms=args.comm)
     csv = grain_csv(rows)
     if args.out:
@@ -115,20 +130,7 @@ _ADAPT_DEFAULTS = [("tasks", "1000"), ("workers", "local:2"), ("spares", "local:
 
 def cmd_bench_adapt(args: argparse.Namespace) -> int:
     config, out = _load_config(args, _ADAPT_DEFAULTS, ("out",))
-    report = bench_adapt(config)
-    doc = {
-        "throughput_series": report.throughput_series,
-        "worker_series": report.worker_series,
-        "reconfigurations": report.reconfigurations,
-        "escalations": report.escalations,
-        "emitted": report.emitted,
-    }
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-    print(f"emitted {report.emitted}, reconfigurations {len(report.reconfigurations)}, "
-          f"escalations {len(report.escalations)}")
-    return EXIT_ESCALATED if report.escalations else 0
+    return _finish(bench_adapt(config), out)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

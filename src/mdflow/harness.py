@@ -1,18 +1,21 @@
 """Experiment drivers: full runs, grain/efficiency sweeps, adaptation
 scenarios, fault injection, and the sequential oracle entry point.
 
-`run_experiment` and `bench_adapt` shape the result of one experiment
-session: compile the program's normal form (`compiler.normalize`) and
-check it against the registry before anything is submitted, build the
-pool, runtime and manager, recruit, submit the stream, then follow a single
-timeline that applies the scripted kills, overloads and the contract arming
-when due, runs the manager's control tick every `tick_s` when the run has a
-contract, and samples throughput and worker count every SAMPLE_S until the
-pool drains or the run's time is up.
+`run_experiment` runs one experiment session and turns it into the one
+report, `RunReport`: compile the program's normal form
+(`compiler.normalize`) and check it against the registry before anything is
+submitted, build the pool, runtime and manager, recruit, submit the stream,
+then follow a single timeline that applies the scripted kills, overloads
+and the contract arming when due, runs the manager's control tick every
+`tick_s` when the run has a contract, and samples throughput and worker
+count every SAMPLE_S until the pool drains or the run's time is up.
+`bench_adapt` is the same run under its own policy: a throughput contract
+is required, and the run lasts 120 s unless the config sets a duration.
 The tick handles a broken contract and an unreadable measure itself, and
-logs both in the manager's event log, which the reports carry.
+logs both in the manager's event log, which the report carries.
 `ExperimentConfig.from_pairs` reads `key = value` pairs (a config file,
-then command line flags) into the one config both take, or rejects them.
+then command line flags) into the one config both take, or rejects them,
+an out-of-range value included.
 
 Grain is realized as sleep inside synthetic opcodes; the injected
 communication delay occupies a shared link exclusively per dispatch, which
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
@@ -77,7 +80,9 @@ class ExperimentConfig:
         """Config from `key = value` pairs: a later pair overrides an earlier
         one, and each `kill` or `overload` entry adds to its script.  Raises
         ValueError naming every unknown key, or the first key given no value
-        (None, a bare line) or a value that does not parse."""
+        (None, a bare line) or a value that does not parse or is out of range:
+        `window`, `tick` and `duration` must be above 0, other numbers at
+        least 0, and `workers` must name a worker."""
         unknown = sorted({key for key, _ in pairs if key not in _CONFIG_KEYS})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
@@ -107,6 +112,9 @@ class RunReport:
     efficiency: Optional[float]
     latencies_ms: list[float]
     throughput_series: list[tuple[int, int]]  # (second bucket, emissions)
+    #: every SAMPLE_S from t = 0: (t since start, pool throughput over the
+    #: window, as the manager reads it, active workers)
+    samples: list[tuple[float, float, int]]
     results: dict[int, Any]  # seq -> decoded value
     events: list[dict] = field(default_factory=list)
     escalated: bool = False
@@ -122,6 +130,7 @@ class RunReport:
             "efficiency": self.efficiency,
             "latency_ms_p50": _median(self.latencies_ms),
             "throughput_series": self.throughput_series,
+            "samples": self.samples,
             "escalated": self.escalated,
             "exit_code": self.exit_code,
             "events": self.events,
@@ -152,29 +161,16 @@ def template_cost_ms(template: MdfGraph, registry: OpcodeRegistry) -> float:
     return cost
 
 
-@dataclass
-class _Session:
-    """What one finished experiment run leaves for its report."""
-
-    pool: TaskPool
-    manager: Manager
-    cost_ms: float  # ideal sequential compute per task
-    workers: int
-    tasks: int
-    t_start: float
-    t_end: float
-    #: (t since start, pool throughput over the window, active workers)
-    samples: list[tuple[float, float, int]]
-
-
-def _run_session(config: ExperimentConfig, registry: Optional[OpcodeRegistry],
-                 inputs: Optional[Sequence[Any]],
-                 duration_s: Optional[float]) -> _Session:
-    """Compile the program's normal form and check it, recruit, submit the
-    stream, then follow one timeline: apply each scripted kill, overload and
-    the contract arming when due, tick the manager every `config.tick_s` when
-    there is a contract, and sample every SAMPLE_S until the pool drains or
-    `duration_s` (the drain timeout when None) runs out."""
+def run_experiment(config: ExperimentConfig,
+                   registry: Optional[OpcodeRegistry] = None,
+                   inputs: Optional[Sequence[Any]] = None) -> RunReport:
+    """Run one experiment session and report it.  Compile the program's
+    normal form and check it, recruit, submit the stream (`inputs`, or
+    `range(config.tasks)`), then follow one timeline: apply each scripted
+    kill, overload and the contract arming when due, tick the manager every
+    `config.tick_s` when there is a contract, and sample every SAMPLE_S
+    until the pool drains or `config.run_duration_s` (the drain timeout when
+    None) runs out."""
     for _, i, *factor in [*config.fault_script, *config.overload_script]:
         if not 0 <= i < len(config.workers):
             raise ValueError(f"script entry for worker {i}: only {len(config.workers)} workers")
@@ -211,7 +207,8 @@ def _run_session(config: ExperimentConfig, registry: Optional[OpcodeRegistry],
         t_start = time.time()
         for task in inputs:
             pool.submit_task(template, codec.encode(task))
-        end = t_start + (duration_s if duration_s is not None else config.drain_timeout_s)
+        end = t_start + (config.drain_timeout_s if config.run_duration_s is None
+                         else config.run_duration_s)
         next_sample = t_start
         next_tick = t_start + config.tick_s if config.contract is not None else float("inf")
         while True:
@@ -235,29 +232,21 @@ def _run_session(config: ExperimentConfig, registry: Optional[OpcodeRegistry],
     finally:
         pool.close()
         runtime.shutdown()
-    return _Session(pool, manager, cost_ms, len(descriptors), len(inputs),
-                    t_start, t_end, samples)
 
-
-def run_experiment(config: ExperimentConfig,
-                   registry: Optional[OpcodeRegistry] = None,
-                   inputs: Optional[Sequence[Any]] = None) -> RunReport:
-    """Full pipeline: compile -> recruit -> submit stream -> drain -> report."""
-    session = _run_session(config, registry, inputs, config.run_duration_s)
-    completion_ms = (session.t_end - session.t_start) * 1000.0
-    records = list(session.pool.results)
+    completion_ms = (t_end - t_start) * 1000.0
+    records = list(pool.results)
     failures = sum(1 for r in records if r.error is not None)
     results = {r.seq: codec.decode(r.value) for r in records if r.error is None}
     latencies = [(r.complete_ts - r.dispatch_ts) * 1000.0 for r in records]
     series: dict[int, int] = {}
     for r in records:
-        bucket = int(r.complete_ts - session.t_start)
+        bucket = int(r.complete_ts - t_start)
         series[bucket] = series.get(bucket, 0) + 1
-    cost, w, tasks = session.cost_ms, session.workers, session.tasks
+    w, tasks = len(descriptors), len(inputs)
     efficiency = None
-    if cost > 0 and completion_ms > 0 and w > 0 and len(records) == tasks:
-        efficiency = (tasks * cost) / (w * completion_ms)
-    escalated = bool(session.manager.escalations)
+    if cost_ms > 0 and completion_ms > 0 and w > 0 and len(records) == tasks:
+        efficiency = (tasks * cost_ms) / (w * completion_ms)
+    escalated = bool(manager.escalations)
     exit_code = EXIT_ESCALATED if escalated else EXIT_OK
     if config.run_duration_s is None and len(records) < tasks:
         exit_code = EXIT_INFRA
@@ -270,8 +259,9 @@ def run_experiment(config: ExperimentConfig,
         efficiency=efficiency,
         latencies_ms=latencies,
         throughput_series=sorted(series.items()),
+        samples=samples,
         results=results,
-        events=session.manager.events.entries(),
+        events=manager.events.entries(),
         escalated=escalated,
         exit_code=exit_code,
     )
@@ -305,32 +295,14 @@ def grain_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class AdaptReport:
-    throughput_series: list[tuple[float, float]]
-    worker_series: list[tuple[float, int]]
-    reconfigurations: list[dict]
-    escalations: list[dict]
-    events: list[dict]
-    emitted: int
-
-
 def bench_adapt(config: ExperimentConfig,
-                registry: Optional[OpcodeRegistry] = None) -> AdaptReport:
-    """Self-optimization scenario: long stream, scripted overload, a
-    throughput contract, and the manager free to add workers."""
+                registry: Optional[OpcodeRegistry] = None) -> RunReport:
+    """Self-optimization scenario: `run_experiment` of a config that must
+    have a throughput contract, for 120 s unless it sets its own duration."""
     if not isinstance(config.contract, Throughput):
         raise ValueError("bench_adapt needs a Throughput contract")
-    session = _run_session(config, registry, None, config.run_duration_s or 120.0)
-    events = session.manager.events
-    return AdaptReport(
-        throughput_series=[(t, rate) for t, rate, _ in session.samples],
-        worker_series=[(t, n) for t, _, n in session.samples],
-        reconfigurations=events.entries("add_worker") + events.entries("remove_worker"),
-        escalations=events.entries("escalation"),
-        events=events.entries(),
-        emitted=session.pool.metrics()["emitted"],
-    )
+    return run_experiment(replace(config, run_duration_s=config.run_duration_s or 120.0),
+                          registry)
 
 
 def run_oracle(program: str, inputs: Sequence[Any],
@@ -345,7 +317,7 @@ def run_oracle(program: str, inputs: Sequence[Any],
 
 
 def parse_workers(spec: str) -> list[WorkerSpec]:
-    """Parse a comma list of `local`, `local:N`, `host:port` and
+    """Parse a comma list of `local`, `local:N` (N >= 1), `host:port` and
     `remote:host:port` entries."""
     specs: list[WorkerSpec] = []
     for part in spec.split(","):
@@ -355,7 +327,10 @@ def parse_workers(spec: str) -> list[WorkerSpec]:
         if part == "local":
             specs.append("local")
         elif part.startswith("local:"):
-            specs.extend(["local"] * int(part.split(":")[1]))
+            count = int(part.split(":")[1])
+            if count < 1:
+                raise ValueError(f"{part} names no worker")
+            specs.extend(["local"] * count)
         else:
             host, port = part.removeprefix("remote:").rsplit(":", 1)
             specs.append((host, int(port)))
@@ -384,19 +359,37 @@ def _script_entry(value: str, *types: Callable[[str], Any]) -> tuple:
     return tuple(parse(field) for parse, field in zip(types, fields))
 
 
+def _number(parse: Callable[[str], Any], above_0: bool) -> Callable[[str], Any]:
+    """`parse`, refusing a result below 0, or one not above 0 when
+    `above_0`."""
+    def read(value: str) -> Any:
+        number = parse(value)
+        if not (number > 0 if above_0 else number >= 0):
+            raise ValueError("must be greater than 0" if above_0 else "must be at least 0")
+        return number
+    return read
+
+
+def _some_workers(value: str) -> list[WorkerSpec]:
+    specs = parse_workers(value)
+    if not specs:
+        raise ValueError("names no worker")
+    return specs
+
+
 #: config key -> (ExperimentConfig field, parser of the value text)
 _CONFIG_KEYS: dict[str, tuple[str, Callable[[str], Any]]] = {
     "program": ("program", str),
-    "tasks": ("tasks", int),
-    "grain": ("grain_ms", float),
-    "comm": ("comm_delay_ms", float),
-    "workers": ("workers", parse_workers),
-    "spares": ("spare_workers", parse_workers),
+    "tasks": ("tasks", _number(int, above_0=False)),
+    "grain": ("grain_ms", _number(float, above_0=False)),
+    "comm": ("comm_delay_ms", _number(float, above_0=False)),
+    "workers": ("workers", _some_workers),
+    "spares": ("spare_workers", parse_workers),  # empty: no spares
     "contract": ("contract", lambda v: parse_contract(v) if v else None),
-    "window": ("window_s", float),
-    "tick": ("tick_s", float),
-    "duration": ("run_duration_s", float),
-    "contract_delay": ("contract_delay_s", float),
+    "window": ("window_s", _number(float, above_0=True)),
+    "tick": ("tick_s", _number(float, above_0=True)),
+    "duration": ("run_duration_s", _number(float, above_0=True)),
+    "contract_delay": ("contract_delay_s", _number(float, above_0=False)),
     "kill": ("fault_script", lambda v: _script_entry(v, float, int)),  # at_s:worker
     "overload": ("overload_script",
                  lambda v: _script_entry(v, float, int, float)),  # at_s:worker:factor

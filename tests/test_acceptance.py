@@ -138,9 +138,9 @@ def test_criterion_05_self_optimization():
     acted = len(adds) >= 1
     # measured throughput re-crosses the contract threshold within 60 s of
     # the overload and stays there at the end of the run
-    recross = [t for t, rate in rep.throughput_series
+    recross = [t for t, rate, _ in rep.samples
                if t > overload_t and rate > 1.5 and
-               any(t2 < t and r2 <= 1.5 for t2, r2 in rep.throughput_series
+               any(t2 < t and r2 <= 1.5 for t2, r2, _ in rep.samples
                    if t2 > overload_t)]
     recovered = bool(recross) and recross[0] - overload_t <= 60.0
     # zero reconfigurations while satisfied: every add_worker happens inside
@@ -149,7 +149,7 @@ def test_criterion_05_self_optimization():
         [t for t in ticks if t["ts"] <= e["ts"]] and
         not [t for t in ticks if t["ts"] <= e["ts"]][-1]["detail"]["satisfied"]
         for e in adds)
-    no_escalation = not rep.escalations
+    no_escalation = not rep.escalated
     checks = {"detected within 2 ticks": detected_fast, "add_worker fired": acted,
               "recovered within 60s": recovered,
               "no reconfig while satisfied": quiet_when_satisfied,

@@ -7,9 +7,12 @@ import pytest
 from mdflow.compiler import compile_skeleton, parse_skeleton
 from mdflow.core import ArityMismatch, UnknownOpcode, dump
 from mdflow.harness import (
+    EXIT_ESCALATED,
     EXIT_INFRA,
     EXIT_OK,
+    SAMPLE_S,
     ExperimentConfig,
+    RunReport,
     bench_adapt,
     grain_csv,
     parse_config_file,
@@ -158,7 +161,7 @@ def test_bench_adapt_applies_fault_script():
         program="farm(seq:work)", tasks=100, grain_ms=50.0, workers=["local"] * 2,
         contract=Throughput(0.1), contract_delay_s=10.0, run_duration_s=1.5,
         fault_script=[(0.3, 0)]))
-    counts = [n for _, n in report.worker_series]
+    counts = [n for _, _, n in report.samples]
     assert counts[0] == 2 and counts[-1] == 1
 
 
@@ -244,10 +247,17 @@ def test_from_pairs_names_every_unknown_key(tmp_path):
 @pytest.mark.parametrize("key,value", [
     ("tasks", "ten"), ("workers", "local:x"), ("contract", "speed:9000"),
     ("kill", "1"), ("overload", "1:0"),
+    ("window", "0"), ("tick", "0"), ("duration", "0"), ("duration", "-2"),
+    ("tasks", "-1"), ("grain", "-1"), ("comm", "-0.5"), ("contract_delay", "-1"),
+    ("workers", ""), ("workers", "local:0"), ("spares", "local:0"),
 ])
 def test_from_pairs_names_the_key_of_a_bad_value(key, value):
     with pytest.raises(ValueError, match=f"bad value for {key}: '{value}'"):
         ExperimentConfig.from_pairs([("tasks", "5"), (key, value)])
+
+
+def test_from_pairs_reads_an_empty_spares_as_no_spares():
+    assert ExperimentConfig.from_pairs([("spares", "")]).spare_workers == []
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -302,6 +312,17 @@ def test_cli_bench_grain_tiny(tmp_path):
     assert len([ln for ln in lines if not ln.startswith("#")]) == 3
 
 
+@pytest.mark.parametrize("grains,workers", [("0", "1"), ("2,-1", "1"), ("2", "0..2")])
+def test_cli_bench_grain_refuses_a_sweep_it_cannot_report(grains, workers, capsys,
+                                                          recruited):
+    # a grain of 0 has no efficiency for the CSV; a row of 0 workers never drains
+    rc = cli.main(["bench-grain", "--grains", grains, "--workers", workers,
+                   "--tasks", "20", "--comm", "0"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INFRA and recruited == []
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_bench_adapt_control_run(tmp_path):
     cfg = tmp_path / "adapt.cfg"
     cfg.write_text(
@@ -320,8 +341,43 @@ def test_cli_bench_adapt_control_run(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     # healthy rate, no overload script: zero reconfigurations
-    assert doc["reconfigurations"] == []
-    assert doc["escalations"] == []
+    assert not [e for e in doc["events"] if e["kind"] in ("add_worker", "remove_worker")]
+    assert doc["escalated"] is False
+
+
+#: the keys of the one report that `run` and `bench-adapt` both write
+REPORT_KEYS = {"completion_ms", "tasks", "emitted", "failures", "workers", "efficiency",
+               "latency_ms_p50", "throughput_series", "samples", "escalated",
+               "exit_code", "events"}
+
+
+@pytest.mark.parametrize("command,function", [("run", "run_experiment"),
+                                              ("bench-adapt", "bench_adapt")])
+def test_run_and_bench_adapt_write_one_report(command, function, tmp_path, monkeypatch):
+    # no plan reaches the contract, so the first violation escalates
+    reports = []
+    run = getattr(cli, function)
+
+    def spy(config):
+        reports.append(run(config))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, function, spy)
+    cfg = tmp_path / "adapt.cfg"
+    cfg.write_text("program = farm(seq:work)\ntasks = 200\ngrain = 20\n"
+                   "workers = local:2\nspares = local:1\n"
+                   "contract = throughput:1000000\nduration = 1.5\n")
+    out = tmp_path / "report.json"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_ESCALATED
+    doc = json.loads(out.read_text())
+    assert set(doc) == REPORT_KEYS
+    report, = reports
+    assert isinstance(report, RunReport) and report.escalated
+    assert doc["samples"] == [list(sample) for sample in report.samples]
+    times = [t for t, _, _ in report.samples]
+    assert times[0] < SAMPLE_S and times == sorted(times)
+    assert all(isinstance(rate, float) and rate >= 0 and n == 2
+               for _, rate, n in report.samples)
 
 
 @pytest.fixture
@@ -343,7 +399,8 @@ def recruited(monkeypatch):
     (None, "No such file"),
     ("contract = throughput:0.1\nwindw = 3\n", "unknown config keys: windw"),
     ("contract = throughput:0.1\ntasks = ten\n", "bad value for tasks: 'ten'"),
-], ids=["missing_file", "unknown_key", "bad_value"])
+    ("contract = throughput:0.1\nwindow = 0\n", "bad value for window: '0'"),
+], ids=["missing_file", "unknown_key", "bad_value", "zero_window"])
 def test_cli_bad_config_exits_3_before_recruiting(command, text, cause, tmp_path,
                                                    capsys, submitted, recruited):
     cfg = tmp_path / "bad.cfg"
